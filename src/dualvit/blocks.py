@@ -1,8 +1,9 @@
 """The three block types of the backbone plus stage-boundary plumbing.
 
 - TransformerBlock: pre-LN self-attention + pre-LN FFN, both residual.
-- DualBlock: a semantic pathway (self-attention over m semantic tokens, then
-  cross-attention pulling from the pixel tokens, then FFN) feeding a pixel
+- DualBlock: a semantic pathway (in the full variant D: self-attention over m
+  semantic tokens, then cross-attention pulling from the pixel tokens, then
+  FFN; ``SEMANTIC_STEPS`` lists the steps of every variant) feeding a pixel
   pathway (cross-attention of pixel tokens against the updated semantic
   tokens, then FFN). The pixel pathway consumes the UPDATED semantic tokens.
 - MergeBlock: joint self-attention over the concatenated pixel+semantic
@@ -24,7 +25,20 @@ from .errors import ConfigError, DimensionError, InputError
 from .nn import FeedForward, LayerNorm, Module, MultiHeadAttention
 from .tensor import Tensor
 
-DUAL_VARIANTS = ("A", "B", "C", "D")
+# The semantic pathway of each dual-block variant: its residual steps in
+# order, each (norm attr, sublayer attr, key/value source). The source is "x"
+# (normed pixel tokens), "z" (the step's normed semantic tokens) or None (FFN).
+# D: full block. A: no semantic self-attention. B: no semantic FFN.
+# C: cross-attention before self-attention.
+SEMANTIC_STEPS = {
+    "A": (("norm_z_mid", "sem_cross", "x"), ("norm_z_ffn", "sem_ffn", None)),
+    "B": (("norm_z", "sem_self", "z"), ("norm_z_mid", "sem_cross", "x")),
+    "C": (("norm_z", "sem_cross", "x"), ("norm_z_mid", "sem_self", "z"),
+          ("norm_z_ffn", "sem_ffn", None)),
+    "D": (("norm_z", "sem_self", "z"), ("norm_z_mid", "sem_cross", "x"),
+          ("norm_z_ffn", "sem_ffn", None)),
+}
+DUAL_VARIANTS = tuple(SEMANTIC_STEPS)
 
 
 @dataclass
@@ -77,27 +91,30 @@ class TransformerBlock(Module):
 
 
 class DualBlock(Module):
-    """Two-pathway block; ``variant`` selects the semantic-pathway rewrite.
-
-    D: full block. A: no semantic self-attention. B: no semantic FFN.
-    C: cross-attention before self-attention.
-    """
+    """Two-pathway block; ``variant`` selects the semantic-pathway rewrite
+    from ``SEMANTIC_STEPS``."""
 
     def __init__(self, dim: int, heads: int, pixel_ratio: int, semantic_ratio: int,
                  rng: np.random.Generator, dtype=None, variant: str = "D"):
         if variant not in DUAL_VARIANTS:
             raise ConfigError(f"unknown dual-block variant {variant!r}")
         self.variant = variant
-        # semantic pathway
+        self.steps = SEMANTIC_STEPS[variant]
+        # semantic pathway: only the sublayers the steps name, built in this
+        # fixed order whatever the step order, so C and D draw identical init
         self.norm_x_sem = LayerNorm(dim, dtype)
-        if variant != "A":
-            self.norm_z = LayerNorm(dim, dtype)
-            self.sem_self = MultiHeadAttention(dim, heads, rng, dtype)
-        self.norm_z_mid = LayerNorm(dim, dtype)
-        self.sem_cross = MultiHeadAttention(dim, heads, rng, dtype)
-        if variant != "B":
-            self.norm_z_ffn = LayerNorm(dim, dtype)
-            self.sem_ffn = FeedForward(dim, semantic_ratio, rng, dtype)
+        sublayers = {
+            "norm_z": lambda: LayerNorm(dim, dtype),
+            "sem_self": lambda: MultiHeadAttention(dim, heads, rng, dtype),
+            "norm_z_mid": lambda: LayerNorm(dim, dtype),
+            "sem_cross": lambda: MultiHeadAttention(dim, heads, rng, dtype),
+            "norm_z_ffn": lambda: LayerNorm(dim, dtype),
+            "sem_ffn": lambda: FeedForward(dim, semantic_ratio, rng, dtype),
+        }
+        used = {attr for step in self.steps for attr in step[:2]}
+        for attr, make in sublayers.items():
+            if attr in used:
+                setattr(self, attr, make())
         # pixel pathway
         self.norm_x_pix = LayerNorm(dim, dtype)
         self.norm_z_out = LayerNorm(dim, dtype)
@@ -107,22 +124,16 @@ class DualBlock(Module):
 
     def _semantic_pathway(self, x: Tensor, z: Tensor) -> Tensor:
         xn = self.norm_x_sem(x)
-        if self.variant == "A":
-            z_refined = z
-        elif self.variant == "C":
-            z_refined = T.add(self.sem_cross(self.norm_z(z), xn, xn), z)
-            zm = self.norm_z_mid(z_refined)
-            z_refined = T.add(self.sem_self(zm, zm, zm), z_refined)
-        else:
-            zn = self.norm_z(z)
-            z_refined = T.add(self.sem_self(zn, zn, zn), z)
-        if self.variant != "C":
-            z_refined = T.add(
-                self.sem_cross(self.norm_z_mid(z_refined), xn, xn), z_refined
-            )
-        if self.variant == "B":
-            return z_refined
-        return T.add(self.sem_ffn(self.norm_z_ffn(z_refined)), z_refined)
+        for norm, sublayer, source in self.steps:
+            zn = getattr(self, norm)(z)
+            layer = getattr(self, sublayer)
+            if source is None:
+                update = layer(zn)
+            else:
+                kv = xn if source == "x" else zn
+                update = layer(zn, kv, kv)
+            z = T.add(update, z)
+        return z
 
     def __call__(self, x: FeatureMap, z: SemanticTokens) -> tuple[FeatureMap, SemanticTokens]:
         if x.channels != z.channels:

@@ -13,13 +13,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 if "DUALVIT_THREADS" in os.environ:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, os.environ["DUALVIT_THREADS"])
 
 from . import complexity, data, training
-from .config import load_model_config
 from .errors import ConfigError, DualVitError, FormatError, InputError
 from .model import DUAL_VARIANTS, ModelConfig, PRESET_NAMES, build_model, preset_config
 
@@ -35,40 +35,29 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override config seed")
 
 
+def _load_config_file(path: str) -> ModelConfig:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:
+            raise FormatError(f"config is not UTF-8 JSON: {exc}") from exc
+    return ModelConfig.from_dict(raw)
+
+
 def _resolve_config(args) -> ModelConfig:
-    if args.config:
-        cfg = load_model_config(args.config)
-    else:
-        cfg = preset_config(args.preset)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "res", None) is not None:
-        cfg.resolution = args.res
-        cfg.validate()
+    cfg = _load_config_file(args.config) if args.config else preset_config(args.preset)
+    overrides = {"seed": args.seed, "resolution": args.res}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    cfg.validate()
     return cfg
 
 
 def _describe_dict(cfg: ModelConfig) -> dict:
-    return {
-        "m": cfg.m,
-        "num_classes": cfg.num_classes,
-        "resolution": cfg.resolution,
-        "pos_embed": cfg.pos_embed,
-        "stages": [
-            {
-                "stage": i + 1,
-                "kind": s.kind,
-                "depth": s.depth,
-                "heads": s.heads,
-                "channels": s.channels,
-                "ffn_ratio_pixel": s.ffn_ratio_pixel,
-                "ffn_ratio_semantic": s.ffn_ratio_semantic,
-                "patch_size": s.patch_size,
-                "tokens": tokens,
-            }
-            for i, (s, tokens) in enumerate(zip(cfg.stages, cfg.token_counts()))
-        ],
-    }
+    info = cfg.to_dict()
+    del info["seed"]
+    info["stages"] = [{"stage": i + 1, **s, "tokens": tokens}
+                      for i, (s, tokens) in enumerate(zip(info["stages"], cfg.token_counts()))]
+    return info
 
 
 def cmd_describe(args) -> int:

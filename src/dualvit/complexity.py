@@ -16,9 +16,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .blocks import SEMANTIC_STEPS
 from .errors import InputError
 from .model import DualViT
-from .nn import Module
 
 
 @dataclass
@@ -48,10 +48,6 @@ class CostReport:
         lines.append(f"{'total':<{width}}  {self.params:>12}  {self.macs:>14}")
         lines.append(f"params: {self.params / 1e6:.2f}M  giga-MACs: {self.macs / 1e9:.3f}")
         return "\n".join(lines)
-
-
-def _module_params(mod: Module) -> int:
-    return sum(p.data.size for _, p in mod.named_parameters())
 
 
 def matmul_macs(rows: int, inner: int, cols: int) -> int:
@@ -90,11 +86,12 @@ def dual_block_attention_macs(n: int, m: int, dim: int) -> int:
 
 def dual_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
                     semantic_ratio: int, variant: str = "D") -> int:
-    total = mha_macs(m, n, dim) + mha_macs(n, m, dim) + ffn_macs(n, dim, pixel_ratio)
-    if variant != "A":
-        total += mha_macs(m, m, dim)
-    if variant != "B":
-        total += ffn_macs(m, dim, semantic_ratio)
+    total = mha_macs(n, m, dim) + ffn_macs(n, dim, pixel_ratio)
+    for _, _, source in SEMANTIC_STEPS[variant]:
+        if source is None:
+            total += ffn_macs(m, dim, semantic_ratio)
+        else:
+            total += mha_macs(m, n if source == "x" else m, dim)
     return total
 
 
@@ -106,54 +103,45 @@ def merge_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
             + ffn_macs(m, dim, semantic_ratio))
 
 
-def _build_breakdown(model: DualViT, resolution: int | None) -> list[tuple[str, int, int]]:
+def _build_breakdown(model: DualViT, resolution: int) -> list[tuple[str, int, int]]:
     cfg = model.config
-    with_macs = resolution is not None
-    if with_macs:
-        if resolution % cfg.total_stride() != 0:
-            raise InputError(
-                f"resolution {resolution} not divisible by cumulative stride "
-                f"{cfg.total_stride()}"
-            )
-        counts = cfg.token_counts(resolution)
+    if resolution % cfg.total_stride() != 0:
+        raise InputError(
+            f"resolution {resolution} not divisible by cumulative stride "
+            f"{cfg.total_stride()}"
+        )
+    counts = cfg.token_counts(resolution)
     entries: list[tuple[str, int, int]] = []
     entries.append(("z0", model.z0.data.size, 0))
     if cfg.pos_embed:
         entries.append(("pos_embed", model.pos_embed.data.size, 0))
     in_ch = 3
     for i, spec in enumerate(cfg.stages):
-        n = counts[i] if with_macs else 0
-        pe = model.patch_embeds[i]
-        pe_macs = n * (spec.patch_size ** 2 * in_ch) * spec.channels if with_macs else 0
-        entries.append((f"stages.{i}.patch_embed", _module_params(pe), pe_macs))
+        n = counts[i]
+        pe_macs = n * (spec.patch_size ** 2 * in_ch) * spec.channels
+        entries.append((f"stages.{i}.patch_embed", model.patch_embeds[i].num_params(),
+                        pe_macs))
         if i > 0:
-            tr = model.transitions[i - 1]
-            tr_macs = cfg.m * in_ch * spec.channels if with_macs else 0
-            entries.append((f"stages.{i}.transition", _module_params(tr), tr_macs))
+            entries.append((f"stages.{i}.transition", model.transitions[i - 1].num_params(),
+                            cfg.m * in_ch * spec.channels))
         for j, blk in enumerate(model.stage_blocks[i]):
-            if with_macs:
-                if spec.kind == "dual":
-                    blk_macs = dual_block_macs(n, cfg.m, spec.channels,
-                                               spec.ffn_ratio_pixel,
-                                               spec.ffn_ratio_semantic,
-                                               model.variant)
-                else:
-                    blk_macs = merge_block_macs(n, cfg.m, spec.channels,
-                                                spec.ffn_ratio_pixel,
-                                                spec.ffn_ratio_semantic)
+            if spec.kind == "dual":
+                blk_macs = dual_block_macs(n, cfg.m, spec.channels, spec.ffn_ratio_pixel,
+                                           spec.ffn_ratio_semantic, model.variant)
             else:
-                blk_macs = 0
-            entries.append((f"stages.{i}.blocks.{j}", _module_params(blk), blk_macs))
+                blk_macs = merge_block_macs(n, cfg.m, spec.channels, spec.ffn_ratio_pixel,
+                                            spec.ffn_ratio_semantic)
+            entries.append((f"stages.{i}.blocks.{j}", blk.num_params(), blk_macs))
         in_ch = spec.channels
-    entries.append(("head_norm", _module_params(model.head_norm), 0))
-    head_macs = in_ch * cfg.num_classes if with_macs else 0
-    entries.append(("head", _module_params(model.head), head_macs))
+    entries.append(("head_norm", model.head_norm.num_params(), 0))
+    entries.append(("head", model.head.num_params(), in_ch * cfg.num_classes))
     return entries
 
 
 def count_params(model: DualViT) -> CostReport:
     """Exact trainable-parameter enumeration, grouped by module path."""
-    breakdown = _build_breakdown(model, None)
+    breakdown = [(path, params, 0)
+                 for path, params, _ in _build_breakdown(model, model.config.resolution)]
     return CostReport(params=sum(p for _, p, _ in breakdown), macs=0,
                       breakdown=breakdown)
 

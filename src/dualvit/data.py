@@ -164,24 +164,65 @@ def save_checkpoint(model: DualViT, path: str) -> None:
 def _read_checkpoint(path: str) -> tuple[dict, np.ndarray]:
     with open(path, "rb") as fh:
         blob = fh.read()
+    if len(blob) < 12:
+        raise FormatError(f"truncated DVCP header: need 12 bytes, got {len(blob)}")
     if blob[:4] != DVCP_MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {DVCP_MAGIC!r}")
     version, manifest_len = struct.unpack_from("<II", blob, 4)
     if version != 1:
         raise FormatError(f"unsupported DVCP version {version}")
     manifest_end = 12 + manifest_len
-    manifest = json.loads(blob[12:manifest_end].decode("utf-8"))
+    if len(blob) < manifest_end + 4:
+        raise FormatError(
+            f"truncated DVCP file: a {manifest_len}-byte manifest needs at least "
+            f"{manifest_end + 4} bytes, got {len(blob)}"
+        )
+    try:
+        manifest = json.loads(blob[12:manifest_end].decode("utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"checkpoint manifest is not UTF-8 JSON: {exc}") from exc
+    _check_manifest(manifest)
     payload = blob[manifest_end:-4]
     (checksum,) = struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(payload) != checksum:
         raise FormatError("checkpoint payload checksum mismatch")
+    if len(payload) % 4:
+        raise FormatError(f"checkpoint payload of {len(payload)} bytes is not float32 data")
     return manifest, np.frombuffer(payload, dtype="<f4")
+
+
+def _check_manifest(manifest) -> None:
+    if not isinstance(manifest, dict):
+        raise FormatError("checkpoint manifest must be a JSON object")
+    missing = {"config", "variant", "entries"} - set(manifest)
+    if missing:
+        raise FormatError(f"checkpoint manifest missing keys {sorted(missing)}")
+    if not isinstance(manifest["variant"], str):
+        raise FormatError(f"checkpoint variant must be a string, got {manifest['variant']!r}")
+    entries = manifest["entries"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list) for e in entries):
+        raise FormatError("checkpoint entries must be a list of {name, shape} objects")
 
 
 def load_checkpoint_into(model: DualViT, path: str) -> None:
     """Load parameters into an existing model, validating names and shapes."""
     manifest, flat = _read_checkpoint(path)
-    if manifest["config"] != model.config.to_dict() or manifest["variant"] != model.variant:
+    _fill(model, ModelConfig.from_dict(manifest["config"]), manifest, flat)
+
+
+def load_checkpoint(path: str) -> DualViT:
+    """Rebuild the model described by the checkpoint's config echo."""
+    manifest, flat = _read_checkpoint(path)
+    config = ModelConfig.from_dict(manifest["config"])
+    model = build_model(config, variant=manifest["variant"])
+    _fill(model, config, manifest, flat)
+    return model
+
+
+def _fill(model: DualViT, config: ModelConfig, manifest: dict, flat: np.ndarray) -> None:
+    if config != model.config or manifest["variant"] != model.variant:
         raise ConfigError(
             "checkpoint was saved for a different model configuration"
         )
@@ -197,16 +238,9 @@ def load_checkpoint_into(model: DualViT, path: str) -> None:
                 f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}"
             )
         size = int(np.prod(shape))
+        if offset + size > flat.size:
+            raise FormatError("checkpoint payload shorter than manifest describes")
         p.data[...] = flat[offset:offset + size].reshape(shape).astype(p.data.dtype)
         offset += size
     if offset != flat.size:
         raise FormatError("checkpoint payload longer than manifest describes")
-
-
-def load_checkpoint(path: str) -> DualViT:
-    """Rebuild the model described by the checkpoint's config echo."""
-    manifest, _ = _read_checkpoint(path)
-    config = ModelConfig.from_dict(manifest["config"])
-    model = build_model(config, variant=manifest["variant"])
-    load_checkpoint_into(model, path)
-    return model

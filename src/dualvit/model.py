@@ -14,16 +14,29 @@ of it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import tensor as T
 from .blocks import (DUAL_VARIANTS, DualBlock, FeatureMap, MergeBlock,
                      PatchEmbed, SemanticTokens, SemanticTransition)
-from .errors import ConfigError, InputError
+from .errors import ConfigError, FormatError, InputError
 from .nn import LayerNorm, Linear, Module, trunc_normal
 from .tensor import Tensor
+
+
+def _kind(index: int) -> str:
+    """Block kind of stage ``index`` (0-based): dual for stages 1-2, merge after."""
+    return "dual" if index < 2 else "merge"
+
+
+def _check_positive_ints(obj, names, where: str = "") -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int or value < 1:
+            raise ConfigError(f"{where}{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -37,15 +50,16 @@ class StageSpec:
     kind: str = "dual"  # "dual" or "merge"
 
     def validate(self, index: int) -> None:
+        _check_positive_ints(self, [f.name for f in fields(self) if f.name != "kind"],
+                             f"stage {index + 1}: ")
         if self.channels % self.heads != 0:
             raise ConfigError(
                 f"stage {index + 1}: channels {self.channels} not divisible by "
                 f"{self.heads} heads"
             )
-        expected = "dual" if index < 2 else "merge"
-        if self.kind != expected:
+        if self.kind != _kind(index):
             raise ConfigError(
-                f"stage {index + 1} must use {expected} blocks, got {self.kind!r}"
+                f"stage {index + 1}: kind must be {_kind(index)!r}, got {self.kind!r}"
             )
 
 
@@ -63,22 +77,19 @@ class ModelConfig:
             raise ConfigError(f"expected 4 stages, got {len(self.stages)}")
         for i, s in enumerate(self.stages):
             s.validate(i)
-        stride = 1
-        for s in self.stages:
-            stride *= s.patch_size
-        if self.resolution % stride != 0:
+        _check_positive_ints(self, ("m", "num_classes", "resolution"))
+        if type(self.pos_embed) is not bool:
+            raise ConfigError(f"pos_embed must be true or false, got {self.pos_embed!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.resolution % self.total_stride() != 0:
             raise ConfigError(
                 f"resolution {self.resolution} not divisible by cumulative "
-                f"stride {stride}"
+                f"stride {self.total_stride()}"
             )
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
 
     def total_stride(self) -> int:
-        stride = 1
-        for s in self.stages:
-            stride *= s.patch_size
-        return stride
+        return math.prod(s.patch_size for s in self.stages)
 
     def token_counts(self, resolution: int | None = None) -> list[int]:
         res = resolution if resolution is not None else self.resolution
@@ -92,21 +103,43 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        stages = [StageSpec(**s) for s in d["stages"]]
-        rest = {k: v for k, v in d.items() if k != "stages"}
-        return cls(stages=stages, **rest)
+    def from_dict(cls, raw) -> "ModelConfig":
+        """Parse and validate a JSON-style config: the only way from a dict.
+
+        Structural faults (not an object, unknown or missing keys, stages not
+        a list of objects) raise FormatError; bad values raise ConfigError.
+        A stage's ``kind`` may be omitted: it follows from the stage index.
+        """
+        if not isinstance(raw, dict):
+            raise FormatError("config must be a JSON object")
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise FormatError(f"unknown config keys: {sorted(unknown)}")
+        stages = raw.get("stages")
+        if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
+            raise FormatError("config 'stages' must be a list of objects")
+        stage_keys = {f.name for f in fields(StageSpec)}
+        specs = []
+        for i, s in enumerate(stages):
+            extra = set(s) - stage_keys
+            if extra:
+                raise FormatError(f"stage {i + 1}: unknown keys {sorted(extra)}")
+            missing = stage_keys - {"kind"} - set(s)
+            if missing:
+                raise FormatError(f"stage {i + 1}: missing keys {sorted(missing)}")
+            specs.append(StageSpec(**{"kind": _kind(i), **s}))
+        cfg = cls(**{**raw, "stages": specs})
+        cfg.validate()
+        return cfg
 
 
 def _stages(depths, heads, channels, ex, ez, patches):
-    kinds = ["dual", "dual", "merge", "merge"]
-    return [
-        StageSpec(d, h, c, x, z, p, k)
-        for d, h, c, x, z, p, k in zip(depths, heads, channels, ex, ez, patches, kinds)
-    ]
+    return [StageSpec(*row, kind=_kind(i))
+            for i, row in enumerate(zip(depths, heads, channels, ex, ez, patches))]
 
 
 def preset_config(name: str, **overrides) -> ModelConfig:
+    """A named preset, with any top-level ``ModelConfig`` field overridden."""
     key = name.lower()
     if key == "s":
         cfg = ModelConfig(_stages((3, 4, 6, 3), (2, 4, 10, 14), (64, 128, 320, 448),
@@ -123,10 +156,10 @@ def preset_config(name: str, **overrides) -> ModelConfig:
                           m=4, num_classes=8, resolution=32)
     else:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESET_NAMES)}")
-    for k, v in overrides.items():
-        if not hasattr(cfg, k):
-            raise ConfigError(f"unknown config field {k!r}")
-        setattr(cfg, k, v)
+    unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config fields {sorted(unknown)}")
+    cfg = replace(cfg, **overrides)
     cfg.validate()
     return cfg
 

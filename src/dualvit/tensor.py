@@ -40,7 +40,6 @@ class Tensor:
     """A numpy-backed array participating in the gradient tape.
 
     ``grad`` is lazily allocated and always matches ``data`` in shape.
-    ``node_id`` (the object id) identifies the tensor in the recorded graph.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -65,15 +64,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def node_id(self) -> int:
-        return id(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def item(self) -> float:
         return float(self.data.reshape(()))

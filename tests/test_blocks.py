@@ -133,6 +133,42 @@ class TestDualBlock:
         else:
             assert blk.num_params() == full.num_params()
 
+    @pytest.mark.parametrize("variant", ["A", "B", "C", "D"])
+    def test_semantic_pathway_matches_hand_composition(self, rng, variant):
+        blk = DualBlock(8, 2, 2, 2, rng, np.float64, variant=variant)
+        _randomize(blk, rng)
+        x = _fm(rng, 6, 8, 2, 3).tokens
+        z = _st(rng, 3, 8).tokens
+        xn = blk.norm_x_sem(x)
+
+        def self_attn(norm, z):
+            zn = norm(z)
+            return T.add(blk.sem_self(zn, zn, zn), z)
+
+        def cross_attn(norm, z):
+            return T.add(blk.sem_cross(norm(z), xn, xn), z)
+
+        def ffn(z):
+            return T.add(blk.sem_ffn(blk.norm_z_ffn(z)), z)
+
+        if variant == "A":
+            expected = ffn(cross_attn(blk.norm_z_mid, z))
+        elif variant == "B":
+            expected = cross_attn(blk.norm_z_mid, self_attn(blk.norm_z, z))
+        elif variant == "C":
+            expected = ffn(self_attn(blk.norm_z_mid, cross_attn(blk.norm_z, z)))
+        else:
+            expected = ffn(cross_attn(blk.norm_z_mid, self_attn(blk.norm_z, z)))
+        np.testing.assert_array_equal(blk._semantic_pathway(x, z).data, expected.data)
+
+    def test_variants_c_and_d_draw_identical_parameters(self):
+        c = DualBlock(8, 2, 2, 2, np.random.default_rng(5), variant="C")
+        d = DualBlock(8, 2, 2, 2, np.random.default_rng(5), variant="D")
+        c_params, d_params = list(c.named_parameters()), list(d.named_parameters())
+        assert [n for n, _ in c_params] == [n for n, _ in d_params]
+        for (name, p), (_, q) in zip(c_params, d_params):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
 
 class TestMergeBlock:
     def test_token_counts_preserved(self, rng):

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -121,3 +123,102 @@ def test_config_file_load_and_rejection(tmp_path, capsys):
     code, _, err = run_cli(capsys, "describe", "--config", str(bad), "--json")
     assert code == 2
     assert "mystery_knob" in err
+
+
+def _tiny_config_with(path, edit):
+    cfg = preset_config("tiny").to_dict()
+    edit(cfg)
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _set_stage(key, value):
+    def edit(cfg):
+        cfg["stages"][0][key] = value
+    return edit
+
+
+def _set(key, value):
+    def edit(cfg):
+        cfg[key] = value
+    return edit
+
+
+def _stage_as_int(cfg):
+    cfg["stages"][1] = 3
+
+
+def _drop_kinds(cfg):
+    for stage in cfg["stages"]:
+        del stage["kind"]
+
+
+@pytest.mark.parametrize("edit,fragment", [
+    (_set_stage("heads", 0), "heads"),
+    (_set_stage("patch_size", 0), "patch_size"),
+    (_set_stage("depth", "1"), "depth"),
+    (_set_stage("depth", -1), "depth"),
+    (_set_stage("channels", True), "channels"),
+    (_set("m", 2.5), "m must be"),
+    (_set("num_classes", 0), "num_classes"),
+    (_set("pos_embed", 1), "pos_embed"),
+    (_set("seed", "0"), "seed"),
+    (_set("stages", 5), "stages"),
+    (_stage_as_int, "stages"),
+    (_set_stage("kind", "merge"), "kind"),
+    (_drop_kinds, None),
+], ids=["heads-0", "patch-0", "depth-str", "depth-neg", "channels-bool", "m-float",
+        "classes-0", "pos-embed-int", "seed-str", "stages-int", "stage-int", "wrong-kind",
+        "no-kind"])
+def test_config_file_field_checks(tmp_path, capsys, edit, fragment):
+    path = _tiny_config_with(tmp_path / "cfg.json", edit)
+    code, out, err = run_cli(capsys, "describe", "--config", path, "--json")
+    if fragment is None:  # kind is optional: derived from the stage index
+        assert code == 0
+        kinds = [s["kind"] for s in json.loads(out)["stages"]]
+        assert kinds == ["dual", "dual", "merge", "merge"]
+    else:
+        assert code == 2
+        assert fragment in err and "Traceback" not in err
+
+
+def _dvcp(manifest: bytes, payload: bytes = b"") -> bytes:
+    return (b"DVCP" + struct.pack("<II", 1, len(manifest)) + manifest + payload
+            + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _manifest_with(**changes) -> bytes:
+    manifest = {"config": preset_config("tiny").to_dict(), "variant": "D",
+                "entries": [{"name": "z0", "shape": [1, 4, 16]}]}
+    manifest.update(changes)
+    return json.dumps({k: v for k, v in manifest.items() if v is not None}).encode()
+
+
+@pytest.mark.parametrize("blob", [
+    b"DVCP\x01\x00",
+    _dvcp(b"{}")[:14],
+    b"DVCP" + struct.pack("<II", 1, 1000) + b"{}",
+    _dvcp(b"\xff\xfe{}"),
+    _dvcp(b"{not json"),
+    _dvcp(b"[1, 2]"),
+    _dvcp(_manifest_with(config=None)),
+    _dvcp(_manifest_with(variant=None)),
+    _dvcp(_manifest_with(entries=None)),
+    _dvcp(_manifest_with(config=5)),
+    _dvcp(_manifest_with(config={"mystery_knob": 1})),
+    _dvcp(_manifest_with(variant=["D"])),
+    _dvcp(_manifest_with(entries="z0")),
+    _dvcp(_manifest_with(entries=[{"name": ["z0"], "shape": [1]}])),
+    _dvcp(_manifest_with(entries=[{"name": "z0", "shape": 64}])),
+    _dvcp(_manifest_with(), b"\x00" * 4),
+    _dvcp(_manifest_with(), b"\x00" * 5),
+], ids=["short-header", "short-file", "manifest-past-end", "not-utf8", "not-json",
+        "not-object", "no-config", "no-variant", "no-entries", "config-int",
+        "config-unknown-key", "variant-list", "entries-str", "entry-name-list",
+        "entry-shape-int", "payload-short", "payload-not-f32"])
+def test_malformed_checkpoint_is_usage_error(tmp_path, capsys, blob):
+    path = tmp_path / "bad.dvcp"
+    path.write_bytes(blob)
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dualvit import complexity
+from dualvit import tensor as T
 from dualvit.errors import InputError
 from dualvit.model import build_model, preset_config
 from dualvit.nn import Linear
@@ -75,6 +76,22 @@ def test_log_log_slopes():
     conv_slope = np.polyfit(np.log(ns), np.log(conv), 1)[0]
     assert 0.9 <= dual_slope <= 1.2
     assert 1.8 <= conv_slope <= 2.1
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "C", "D"])
+def test_executed_matmul_macs_equal_analytic(monkeypatch, variant):
+    model = build_model(preset_config("tiny"), variant=variant)
+    original, executed = T.matmul, []
+
+    def counting(a, b):
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        executed.append(int(np.prod(batch)) * a.shape[-2] * a.shape[-1] * b.shape[-1])
+        return original(a, b)
+
+    monkeypatch.setattr(T, "matmul", counting)
+    batch = 3
+    model(np.random.default_rng(0).random((batch, 32, 32, 3), dtype=np.float32))
+    assert sum(executed) == complexity.count_macs(model).macs * batch
 
 
 def test_ablation_deltas():
