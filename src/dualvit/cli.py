@@ -1,9 +1,9 @@
 """Command-line surface: describe / count / gradcheck / train / eval / ablate.
 
 Exit codes: 0 success, 1 check failure, 2 usage or input error.
-Set DUALVIT_THREADS to cap BLAS worker threads (applied before numpy math
-runs; also makes runs reproducible across machines with different core
-counts).
+Set DUALVIT_THREADS to cap BLAS worker threads (the ``dualvit`` package
+applies it on import, before numpy loads; it also makes runs reproducible
+across machines with different core counts).
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-
-if "DUALVIT_THREADS" in os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["DUALVIT_THREADS"])
 
 from . import complexity, data, training
 from .errors import ConfigError, DualVitError, FormatError, InputError

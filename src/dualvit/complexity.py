@@ -69,10 +69,6 @@ def ffn_macs(n: int, dim: int, ratio: int) -> int:
     return 2 * n * ratio * dim * dim
 
 
-def transformer_block_macs(n: int, dim: int, ratio: int) -> int:
-    return mha_macs(n, n, dim) + ffn_macs(n, dim, ratio)
-
-
 def transformer_block_attention_macs(n: int, dim: int) -> int:
     return mha_attention_macs(n, n, dim)
 

@@ -21,6 +21,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -88,18 +89,24 @@ def make_synthetic(num_classes: int, per_class: int, resolution: int,
 _DVDS_HEADER = struct.Struct("<4sIIHHHH")
 
 
+def _dvds_record(h: int, w: int) -> np.dtype:
+    """One DVDS record: a u16 label, then the H x W x 3 pixel bytes."""
+    try:
+        return np.dtype([("label", "<u2"), ("pixels", "u1", (h, w, 3))])
+    except ValueError as exc:
+        raise FormatError(f"DVDS images of {h}x{w} pixels do not fit a record: {exc}") from exc
+
+
 def save_packed_dataset(dataset: Dataset, path: str) -> None:
     n, h, w, c = dataset.images.shape
     if c != 3:
         raise FormatError(f"DVDS v1 stores 3-channel images, got {c}")
-    payload = bytearray(_DVDS_HEADER.pack(DVDS_MAGIC, 1, n, h, w, 3,
-                                          dataset.num_classes))
-    pixels = np.round(dataset.images * 255.0).astype(np.uint8)
-    for i in range(n):
-        payload += struct.pack("<H", int(dataset.labels[i]))
-        payload += pixels[i].tobytes()
+    header = _DVDS_HEADER.pack(DVDS_MAGIC, 1, n, h, w, 3, dataset.num_classes)
+    records = np.empty(n, dtype=_dvds_record(h, w))
+    records["label"] = dataset.labels
+    records["pixels"] = np.round(dataset.images * 255.0).astype(np.uint8)
     with open(path, "wb") as fh:
-        fh.write(payload)
+        fh.write(header + records.tobytes())
 
 
 def load_packed_dataset(path: str) -> Dataset:
@@ -116,25 +123,18 @@ def load_packed_dataset(path: str) -> Dataset:
         raise FormatError(f"unsupported DVDS version {version} at byte 4")
     if c != 3:
         raise FormatError(f"DVDS v1 requires 3 channels, file declares {c}")
-    record = 2 + h * w * 3
-    expected = _DVDS_HEADER.size + n * record
+    record = _dvds_record(h, w)
+    expected = _DVDS_HEADER.size + n * record.itemsize
     if len(blob) != expected:
         raise FormatError(
             f"DVDS payload length mismatch: expected {expected} bytes, "
             f"got {len(blob)} (first bad offset {min(expected, len(blob))})"
         )
-    images = np.empty((n, h, w, 3), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    offset = _DVDS_HEADER.size
-    for i in range(n):
-        (labels[i],) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        pix = np.frombuffer(blob, dtype=np.uint8, count=h * w * 3, offset=offset)
-        images[i] = pix.reshape(h, w, 3) / 255.0
-        offset += h * w * 3
-    if labels.max() >= classes:
-        raise FormatError("label exceeds declared class count")
-    return Dataset(images=images, labels=labels, num_classes=classes)
+    records = np.frombuffer(blob, dtype=record, count=n, offset=_DVDS_HEADER.size)
+    # A float32 quotient of a byte by 255 equals the float64 one rounded to
+    # float32, without a float64 copy of the whole set.
+    return Dataset(images=records["pixels"] / np.float32(255.0),
+                   labels=records["label"].astype(np.int64), num_classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +226,17 @@ def _fill(model: DualViT, config: ModelConfig, manifest: dict, flat: np.ndarray)
         raise ConfigError(
             "checkpoint was saved for a different model configuration"
         )
-    params = dict(model.named_parameters())
+    params = list(model.named_parameters())
+    listed = [entry["name"] for entry in manifest["entries"]]
+    names = [name for name, _ in params]
+    if listed != names:
+        i, got, want = next((i, got, want) for i, (got, want)
+                            in enumerate(zip_longest(listed, names)) if got != want)
+        raise FormatError(f"checkpoint entry {i} is {got!r}, expected {want!r}: entries "
+                          "must name every model parameter once, in model order")
     offset = 0
-    for entry in manifest["entries"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in params:
-            raise ConfigError(f"checkpoint entry {name!r} not present in model")
-        p = params[name]
+    for entry, (name, p) in zip(manifest["entries"], params):
+        shape = tuple(entry["shape"])
         if p.data.shape != shape:
             raise ConfigError(
                 f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}"

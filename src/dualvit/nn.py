@@ -113,21 +113,18 @@ class MultiHeadAttention(Module):
                 f"key/value token counts differ: {k.shape[-2]} vs {v.shape[-2]}"
             )
         b, n_q, _ = q.shape
-        weights = self._weights(q, k)
+        weights = self.attention_weights(q, k)
         mixed = T.matmul(weights, self._split_heads(self.v_proj(v)))
         merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n_q, self.dim))
         return self.o_proj(merged)
 
-    def _weights(self, q: Tensor, k: Tensor) -> Tensor:
+    def attention_weights(self, q: Tensor, k: Tensor) -> Tensor:
+        """Per-head attention matrix (B, heads, n_q, n_kv); rows sum to 1."""
         qh = self._split_heads(self.q_proj(q))
         kh = self._split_heads(self.k_proj(k))
         scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))),
                          1.0 / math.sqrt(self.head_dim))
         return T.softmax_lastdim(scores)
-
-    def attention_weights(self, q: Tensor, k: Tensor) -> Tensor:
-        """Per-head attention matrix (B, heads, n_q, n_kv); rows sum to 1."""
-        return self._weights(q, k)
 
 
 class FeedForward(Module):

@@ -6,6 +6,12 @@ rule on the output tensor; ``Tensor.backward()`` walks the recorded graph in
 reverse topological order and accumulates gradients additively, so fan-out is
 handled correctly and repeated backward calls without ``zero_grad`` accumulate.
 
+Backward contract: a rule takes the output gradient and returns one gradient
+per parent, in ``_parents`` order, or ``None`` for a parent it skips (a rule
+may skip an input that does not require grad). Rules never write ``grad``:
+the tape sums each returned gradient down to its parent's shape, undoing
+numpy broadcasting, and accumulates it into every parent that requires grad.
+
 The token axis is the second-to-last axis throughout (``concat``/``split``
 default to it). All forward results are deterministic functions of their
 inputs.
@@ -32,10 +38,6 @@ def set_debug(enabled: bool) -> None:
     _debug_checks = enabled
 
 
-def debug_enabled() -> bool:
-    return _debug_checks
-
-
 class Tensor:
     """A numpy-backed array participating in the gradient tape.
 
@@ -54,7 +56,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,8 +107,12 @@ class Tensor:
                     stack.append((p, False))
         self.accumulate_grad(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            for p, g in zip(node._parents, node._backward(node.grad) or ()):
+                if g is not None and p.requires_grad:
+                    shape = p.data.shape
+                    p.accumulate_grad(g if g.shape == shape else _unbroadcast(g, shape))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
@@ -130,10 +136,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x, dtype=dtype)
-
-
 # ---------------------------------------------------------------------------
 # primitive differentiable ops
 # ---------------------------------------------------------------------------
@@ -150,11 +152,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         )
     out = a.data @ b.data
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+    def backward(g: np.ndarray):
+        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+                np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
@@ -166,13 +166,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}") from exc
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _make(out, (a, b), backward)
+    return _make(out, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -181,24 +175,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise DimensionError(f"mul shapes incompatible: {a.shape} * {b.shape}") from exc
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+    def backward(g: np.ndarray):
+        return (g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None)
 
     return _make(out, (a, b), backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = a.data * s
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * s)
-
-    return _make(out, (a,), backward)
+    return _make(a.data * s, (a,), lambda g: (g * s,))
 
 
 def softmax_lastdim(a: Tensor) -> Tensor:
@@ -209,10 +195,9 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(out * (g - inner))
+    def backward(g: np.ndarray):
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - inner),)
 
     return _make(out, (a,), backward)
 
@@ -232,16 +217,14 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     normed = centered * inv_std
     out = gamma.data * normed + beta.data
 
-    def backward(g: np.ndarray) -> None:
-        if beta.requires_grad:
-            beta.accumulate_grad(g.reshape(-1, d).sum(axis=0))
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * normed).reshape(-1, d).sum(axis=0))
+    def backward(g: np.ndarray):
+        ga = None
         if a.requires_grad:
             gy = g * gamma.data
             m1 = gy.mean(axis=-1, keepdims=True)
             m2 = (gy * normed).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(inv_std * (gy - m1 - normed * m2))
+            ga = inv_std * (gy - m1 - normed * m2)
+        return (ga, (g * normed).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
 
     return _make(out, (a, gamma, beta), backward)
 
@@ -257,11 +240,10 @@ def gelu(a: Tensor) -> Tensor:
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-            a.accumulate_grad(g * local)
+    def backward(g: np.ndarray):
+        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+        return (g * local,)
 
     return _make(out, (a,), backward)
 
@@ -270,18 +252,8 @@ def concat(tensors: Sequence[Tensor], axis: int = -2) -> Tensor:
     if not tensors:
         raise DimensionError("concat requires at least one tensor")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-
-    def backward(g: np.ndarray) -> None:
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis if axis >= 0 else g.ndim + axis] = slice(offset, offset + size)
-                t.accumulate_grad(g[tuple(idx)])
-            offset += size
-
-    return _make(out, tuple(tensors), backward)
+    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return _make(out, tuple(tensors), lambda g: np.split(g, cuts, axis=axis))
 
 
 def split(a: Tensor, sizes: Sequence[int], axis: int = -2) -> list[Tensor]:
@@ -298,11 +270,10 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = -2) -> list[Tensor]:
         idx_t = tuple(idx)
         piece_data = a.data[idx_t].copy()
 
-        def backward(g: np.ndarray, idx_t=idx_t) -> None:
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[idx_t] = g
-                a.accumulate_grad(full)
+        def backward(g: np.ndarray, idx_t=idx_t):
+            full = np.zeros_like(a.data)
+            full[idx_t] = g
+            return (full,)
 
         pieces.append(_make(piece_data, (a,), backward))
         offset += size
@@ -312,23 +283,12 @@ def split(a: Tensor, sizes: Sequence[int], axis: int = -2) -> list[Tensor]:
 def mean(a: Tensor, axis: int) -> Tensor:
     ax = axis if axis >= 0 else a.data.ndim + axis
     n = a.shape[ax]
-    out = a.data.mean(axis=ax)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.expand_dims(g, ax) / n * np.ones_like(a.data))
-
-    return _make(out, (a,), backward)
+    return _make(a.data.mean(axis=ax), (a,),
+                 lambda g: (np.expand_dims(g, ax) / n * np.ones_like(a.data),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = np.asarray(a.data.sum())
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(np.ones_like(a.data) * g)
-
-    return _make(out, (a,), backward)
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.ones_like(a.data) * g,))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -337,24 +297,13 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}") from exc
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.reshape(a.shape))
-
-    return _make(out, (a,), backward)
+    return _make(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    out = a.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g.transpose(inverse))
-
-    return _make(out, (a,), backward)
+    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def cross_entropy_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -374,11 +323,10 @@ def cross_entropy_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     nll = logsumexp - logits.data[np.arange(batch), labels]
     out = np.asarray(nll.mean())
 
-    def backward(g: np.ndarray) -> None:
-        if logits.requires_grad:
-            probs = np.exp(shifted)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            probs[np.arange(batch), labels] -= 1.0
-            logits.accumulate_grad(probs * (g / batch))
+    def backward(g: np.ndarray):
+        probs = np.exp(shifted)
+        probs /= probs.sum(axis=-1, keepdims=True)
+        probs[np.arange(batch), labels] -= 1.0
+        return (probs * (g / batch),)
 
     return _make(out, (logits,), backward)

@@ -1,13 +1,17 @@
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
 import pytest
 
+import dualvit
 from dualvit.cli import main
 from dualvit.complexity import count_macs
-from dualvit.data import load_checkpoint
+from dualvit.data import load_checkpoint, save_checkpoint
 from dualvit.model import build_model, preset_config
 
 
@@ -109,6 +113,35 @@ def test_eval_missing_checkpoint_is_usage_error(capsys):
     assert "not found" in err
 
 
+def test_eval_empty_dataset_is_usage_error(tmp_path, capsys):
+    cfg = preset_config("tiny")
+    ckpt = tmp_path / "m.dvcp"
+    save_checkpoint(build_model(cfg), str(ckpt))
+    empty = tmp_path / "empty.dvds"
+    empty.write_bytes(struct.pack("<4sIIHHHH", b"DVDS", 1, 0, cfg.resolution,
+                                  cfg.resolution, 3, cfg.num_classes))
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(empty))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_dualvit_threads_pins_blas():
+    """Importing the CLI pins BLAS before numpy loads, so a GEMM runs on one thread."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(dualvit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["DUALVIT_THREADS"] = "1"
+    probe = ("import os, dualvit.cli, numpy as np\n"
+             "a = np.ones((1024, 1024), np.float32)\n"
+             "a @ a\n"
+             "print(len(os.listdir('/proc/self/task')))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "1"
+
+
 def test_config_file_load_and_rejection(tmp_path, capsys):
     cfg = preset_config("tiny").to_dict()
     good = tmp_path / "good.json"
@@ -194,6 +227,25 @@ def _manifest_with(**changes) -> bytes:
     return json.dumps({k: v for k, v in manifest.items() if v is not None}).encode()
 
 
+def _tiny_dvcp_with(edit) -> bytes:
+    """A tiny-model checkpoint whose list of (entry, payload bytes) ``edit`` rewrites."""
+    model = build_model(preset_config("tiny"))
+    items = edit([({"name": name, "shape": list(p.shape)}, p.data.astype("<f4").tobytes())
+                  for name, p in model.named_parameters()])
+    manifest = json.dumps({"config": model.config.to_dict(), "variant": model.variant,
+                           "entries": [entry for entry, _ in items]}).encode()
+    return _dvcp(manifest, b"".join(payload for _, payload in items))
+
+
+def _drop_head_bias(items):
+    return [(entry, payload) for entry, payload in items if entry["name"] != "head.bias"]
+
+
+def _beta_named_gamma(items):
+    return [({**entry, "name": "head_norm.gamma"} if entry["name"] == "head_norm.beta"
+             else entry, payload) for entry, payload in items]
+
+
 @pytest.mark.parametrize("blob", [
     b"DVCP\x01\x00",
     _dvcp(b"{}")[:14],
@@ -212,10 +264,13 @@ def _manifest_with(**changes) -> bytes:
     _dvcp(_manifest_with(entries=[{"name": "z0", "shape": 64}])),
     _dvcp(_manifest_with(), b"\x00" * 4),
     _dvcp(_manifest_with(), b"\x00" * 5),
+    _tiny_dvcp_with(_drop_head_bias),
+    _tiny_dvcp_with(_beta_named_gamma),
 ], ids=["short-header", "short-file", "manifest-past-end", "not-utf8", "not-json",
         "not-object", "no-config", "no-variant", "no-entries", "config-int",
         "config-unknown-key", "variant-list", "entries-str", "entry-name-list",
-        "entry-shape-int", "payload-short", "payload-not-f32"])
+        "entry-shape-int", "payload-short", "payload-not-f32", "entry-missing",
+        "entry-repeated"])
 def test_malformed_checkpoint_is_usage_error(tmp_path, capsys, blob):
     path = tmp_path / "bad.dvcp"
     path.write_bytes(blob)

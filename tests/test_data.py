@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualvit.data import (Dataset, class_means, load_checkpoint,
                           load_checkpoint_into, load_packed_dataset,
@@ -78,6 +80,52 @@ def test_truncated_file_error_names_lengths(tmp_path):
     path.write_bytes(blob[:-10])
     with pytest.raises(FormatError, match=f"expected {len(blob)}.*got {len(blob) - 10}"):
         load_packed_dataset(str(path))
+
+
+def test_every_byte_value_loads_as_its_float64_quotient(tmp_path):
+    """Pixel value = byte / 255, computed in float64 and rounded to float32."""
+    pixels = np.arange(256, dtype=np.uint8).tobytes() + bytes(2)
+    blob = struct.pack("<4sIIHHHH", b"DVDS", 1, 1, 1, 86, 3, 1) + bytes(2) + pixels
+    path = tmp_path / "bytes.dvds"
+    path.write_bytes(blob)
+    loaded = load_packed_dataset(str(path)).images.reshape(-1)
+    expected = (np.frombuffer(pixels, dtype=np.uint8) / 255.0).astype(np.float32)
+    assert loaded.dtype == np.float32
+    np.testing.assert_array_equal(loaded.view(np.uint32), expected.view(np.uint32))
+
+
+def test_oversized_image_header_is_format_error(tmp_path):
+    path = tmp_path / "huge.dvds"
+    path.write_bytes(struct.pack("<4sIIHHHH", b"DVDS", 1, 1, 65535, 65535, 3, 2))
+    with pytest.raises(FormatError):
+        load_packed_dataset(str(path))
+
+
+@pytest.fixture(scope="module")
+def dvds_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "set.dvds"
+    save_packed_dataset(make_synthetic(2, 2, 4, seed=0), str(path))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_dvds_raises_format_error_or_loads(dvds_file, data):
+    """A truncated or single-byte-flipped file is rejected cleanly or still parses."""
+    path, blob = dvds_file
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    else:
+        flipped = bytearray(blob)
+        flipped[data.draw(st.integers(0, len(blob) - 1), label="offset")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        mutated = bytes(flipped)
+    path.write_bytes(mutated)
+    try:
+        loaded = load_packed_dataset(str(path))
+    except FormatError:
+        return
+    assert isinstance(loaded, Dataset)
 
 
 def test_bad_magic_and_version_rejected(tmp_path):
