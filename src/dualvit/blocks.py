@@ -22,7 +22,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError, InputError
-from .nn import FeedForward, LayerNorm, Module, MultiHeadAttention
+from .nn import FeedForward, LayerNorm, Linear, Module, MultiHeadAttention
 from .tensor import Tensor
 
 # The semantic pathway of each dual-block variant: its residual steps in
@@ -178,8 +178,6 @@ class PatchEmbed(Module):
 
     def __init__(self, in_channels: int, patch: int, out_channels: int,
                  rng: np.random.Generator, dtype=None):
-        from .nn import Linear
-
         self.in_channels = in_channels
         self.patch = patch
         self.out_channels = out_channels
@@ -206,8 +204,6 @@ class SemanticTransition(Module):
 
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator, dtype=None):
-        from .nn import Linear
-
         self.proj = Linear(in_channels, out_channels, rng, dtype)
         self.norm = LayerNorm(out_channels, dtype)
 

@@ -16,8 +16,9 @@ import sys
 from dataclasses import replace
 
 from . import complexity, data, training
+from .blocks import DUAL_VARIANTS
 from .errors import ConfigError, DualVitError, FormatError, InputError
-from .model import DUAL_VARIANTS, ModelConfig, PRESET_NAMES, build_model, preset_config
+from .model import ModelConfig, PRESET_NAMES, build_model, preset_config
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -103,18 +104,19 @@ def _load_dataset(spec: str, cfg: ModelConfig, per_class: int, seed: int) -> dat
         return data.make_synthetic(cfg.num_classes, per_class, cfg.resolution, seed=seed)
     if not os.path.exists(spec):
         raise InputError(f"dataset file not found: {spec}")
-    return data.load_packed_dataset(spec)
+    dataset = data.load_packed_dataset(spec)
+    h, w = dataset.images.shape[1:3]
+    res = cfg.resolution
+    if dataset.num_classes > cfg.num_classes or (h, w) != (res, res):
+        raise InputError(f"dataset of {dataset.num_classes} classes at {h}x{w} does not fit "
+                         f"model of {cfg.num_classes} classes at {res}x{res}")
+    return dataset
 
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     model = build_model(cfg, variant=args.variant)
     dataset = _load_dataset(args.data, cfg, args.per_class, args.seed or 0)
-    if dataset.images.shape[1] != cfg.resolution:
-        raise InputError(
-            f"dataset resolution {dataset.images.shape[1]} does not match "
-            f"model resolution {cfg.resolution}"
-        )
     report = training.train_toy(model, dataset, steps=args.steps,
                                 batch_size=args.batch, lr=args.lr,
                                 weight_decay=args.wd, seed=args.seed or 0)

@@ -50,11 +50,6 @@ class CostReport:
         return "\n".join(lines)
 
 
-def matmul_macs(rows: int, inner: int, cols: int) -> int:
-    """Convention anchor: an (a×b)@(b×c) product costs a*b*c MACs."""
-    return rows * inner * cols
-
-
 def mha_attention_macs(n_q: int, n_kv: int, dim: int) -> int:
     """Score matrix plus value mix, summed over heads."""
     return 2 * n_q * n_kv * dim

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .blocks import (DUAL_VARIANTS, DualBlock, FeatureMap, MergeBlock,
-                     PatchEmbed, SemanticTokens, SemanticTransition)
+from .blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed, SemanticTokens,
+                     SemanticTransition)
 from .errors import ConfigError, FormatError, InputError
 from .nn import LayerNorm, Linear, Module, trunc_normal
 from .tensor import Tensor
@@ -169,8 +169,6 @@ PRESET_NAMES = ("S", "B", "L", "tiny")
 
 class DualViT(Module):
     def __init__(self, config: ModelConfig, variant: str = "D", dtype=None):
-        if variant not in DUAL_VARIANTS:
-            raise ConfigError(f"unknown ablation variant {variant!r}")
         config.validate()
         self.config = config
         self.variant = variant

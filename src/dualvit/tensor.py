@@ -3,14 +3,15 @@
 Storage is a flat row-major numpy buffer (float32 by default, float64 for
 gradient checking). Every differentiable op records its inputs and a backward
 rule on the output tensor; ``Tensor.backward()`` walks the recorded graph in
-reverse topological order and accumulates gradients additively, so fan-out is
-handled correctly and repeated backward calls without ``zero_grad`` accumulate.
+reverse topological order, summing gradients over fan-out. Only leaves keep a
+``grad``: interior gradients are freed as the walk passes them, so repeated
+backward calls on one graph without ``zero_grad`` accumulate.
 
 Backward contract: a rule takes the output gradient and returns one gradient
 per parent, in ``_parents`` order, or ``None`` for a parent it skips (a rule
 may skip an input that does not require grad). Rules never write ``grad``:
 the tape sums each returned gradient down to its parent's shape, undoing
-numpy broadcasting, and accumulates it into every parent that requires grad.
+numpy broadcasting, and adds it into zeros laid out like the parent's data.
 
 The token axis is the second-to-last axis throughout (``concat``/``split``
 default to it). All forward results are deterministic functions of their
@@ -41,7 +42,7 @@ def set_debug(enabled: bool) -> None:
 class Tensor:
     """A numpy-backed array participating in the gradient tape.
 
-    ``grad`` is lazily allocated and always matches ``data`` in shape.
+    ``grad`` (leaves only) is lazily allocated and always matches ``data`` in shape.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -81,10 +82,10 @@ class Tensor:
         self.grad = None
 
     def backward(self) -> None:
-        """Populate ``grad`` on every reachable tensor that requires it.
+        """Add this scalar's gradient to ``grad`` of every reachable leaf.
 
-        The loss must be a scalar. Gradients accumulate additively across
-        fan-out and across repeated calls.
+        Fan-out sums; repeated calls accumulate. Interior gradients are locals
+        of the call, each freed once its node's rule has run.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -105,14 +106,20 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.accumulate_grad(np.ones_like(self.data))
+        grads = {id(self): np.ones_like(self.data)}
         for node in reversed(topo):
-            if node._backward is None or node.grad is None:
+            g = grads.pop(id(node), None)
+            if g is None:
                 continue
-            for p, g in zip(node._parents, node._backward(node.grad) or ()):
-                if g is not None and p.requires_grad:
+            if node._backward is None:
+                node.accumulate_grad(g)
+                continue
+            for p, pg in zip(node._parents, node._backward(g) or ()):
+                if pg is not None and p.requires_grad:
                     shape = p.data.shape
-                    p.accumulate_grad(g if g.shape == shape else _unbroadcast(g, shape))
+                    if id(p) not in grads:
+                        grads[id(p)] = np.zeros_like(p.data)
+                    grads[id(p)] += pg if pg.shape == shape else _unbroadcast(pg, shape)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:

@@ -251,12 +251,12 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        logits = model(dataset.images[idx])
-        loss = T.cross_entropy_with_logits(logits, dataset.labels[idx])
+        loss = T.cross_entropy_with_logits(model(dataset.images[idx]), dataset.labels[idx])
         loss_val = loss.item()
         step_lr = cosine_lr(lr, step, steps)
         history.append((step, loss_val, step_lr))
         if not math.isfinite(loss_val):
+            del loss  # the step's graph must not outlive it
             for p, saved in zip(opt.params, last_good):
                 p.data[...] = saved
             aborted = True
@@ -264,6 +264,7 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
         last_good = [p.data.copy() for p in opt.params]
         opt.zero_grad()
         loss.backward()
+        del loss
         opt.step(lr=step_lr)
     acc = evaluate(model, dataset, batch_size)
     return TrainReport(steps=history, final_accuracy=acc,

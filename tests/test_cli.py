@@ -11,7 +11,7 @@ import pytest
 import dualvit
 from dualvit.cli import main
 from dualvit.complexity import count_macs
-from dualvit.data import load_checkpoint, save_checkpoint
+from dualvit.data import load_checkpoint, make_synthetic, save_checkpoint, save_packed_dataset
 from dualvit.model import build_model, preset_config
 
 
@@ -123,6 +123,38 @@ def test_eval_empty_dataset_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "eval", "--checkpoint", str(ckpt), "--data", str(empty))
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("classes,res,fragment", [(20, 32, "20 classes"), (8, 64, "64x64")],
+                         ids=["classes", "resolution"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_that_does_not_fit_the_model_is_usage_error(tmp_path, capsys, command,
+                                                            classes, res, fragment):
+    cfg = preset_config("tiny")
+    dataset = tmp_path / "set.dvds"
+    save_packed_dataset(make_synthetic(classes, 1, res), str(dataset))
+    if command == "train":
+        argv = ["train", "--preset", "tiny", "--steps", "1", "--out", str(tmp_path / "run")]
+    else:
+        ckpt = tmp_path / "m.dvcp"
+        save_checkpoint(build_model(cfg), str(ckpt))
+        argv = ["eval", "--checkpoint", str(ckpt)]
+    code, _, err = run_cli(capsys, *argv, "--data", str(dataset))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert fragment in err
+
+
+def test_train_abort_keeps_initial_parameters(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "train", "--preset", "tiny", "--steps", "5",
+                           "--lr", "1e10", "--per-class", "2", "--out", str(out_dir))
+    assert code == 1
+    assert "aborted" in err
+    initial = build_model(preset_config("tiny")).named_parameters()
+    saved = dict(load_checkpoint(str(out_dir / "model.dvcp")).named_parameters())
+    for name, p in initial:
+        np.testing.assert_array_equal(saved[name].data, p.data, err_msg=name)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")

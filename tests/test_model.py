@@ -1,10 +1,13 @@
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dualvit.errors import ConfigError, InputError
-from dualvit.model import ModelConfig, build_model, preset_config
+from dualvit.errors import ConfigError, FormatError, InputError
+from dualvit.model import ModelConfig, StageSpec, build_model, preset_config
 
 # published per-stage architecture table: depth, heads, channels, E^x, E^z, patch
 ARCH_TABLE = {
@@ -152,3 +155,39 @@ def _image_featuremap(model, images):
     x = Tensor(images, dtype=model._dtype)
     b, h, w, _ = x.shape
     return FeatureMap(T.reshape(x, (b, h * w, 3)), h, w)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=8)
+_VALUES = st.integers(-1, 64) | _JSON
+_TOP_KEYS = [f.name for f in fields(ModelConfig)] + ["mystery"]
+_STAGE_KEYS = [f.name for f in fields(StageSpec)] + ["mystery"]
+
+
+@st.composite
+def _config_dicts(draw):
+    """The tiny preset's dict with a few schema keys set to JSON values or removed."""
+    raw = preset_config("tiny").to_dict()
+    for _ in range(draw(st.integers(0, 4))):
+        stages = raw.get("stages")
+        targets = [raw] + (stages if isinstance(stages, list) else [])
+        target = draw(st.sampled_from([t for t in targets if isinstance(t, dict)]))
+        key = draw(st.sampled_from(_TOP_KEYS if target is raw else _STAGE_KEYS))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(_VALUES)
+    return raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=_config_dicts())
+def test_config_parser_accepts_valid_or_raises_config_errors(raw):
+    try:
+        cfg = ModelConfig.from_dict(raw)
+    except (ConfigError, FormatError):
+        return
+    cfg.validate()

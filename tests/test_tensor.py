@@ -145,6 +145,29 @@ class TestBackward:
         T.sum_all(w).backward()
         np.testing.assert_array_equal(w.grad, 2 * np.ones(2))
 
+    def test_repeated_backward_on_one_graph_accumulates(self):
+        w = Tensor(np.ones(2), requires_grad=True)
+        loss = T.sum_all(T.scale(w, 2.0))
+        loss.backward()
+        loss.backward()
+        np.testing.assert_array_equal(w.grad, 4 * np.ones(2))
+
+    def test_only_leaves_hold_grad(self, rng):
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4), requires_grad=True)
+        h = T.gelu(T.add(T.matmul(Tensor(rng.standard_normal((2, 3))), w), b))
+        loss = T.sum_all(T.mul(h, h))
+        loss.backward()
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(node._parents)
+        interior = [n for n in nodes.values() if n._parents]
+        assert len(interior) == 5
+        assert all(n.grad is None for n in interior)
+        assert w.grad is not None and b.grad is not None
+
     def test_fanout_accumulates(self):
         w = Tensor(np.array([3.0]), requires_grad=True)
         T.sum_all(T.add(w, w)).backward()

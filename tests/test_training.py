@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from dualvit import tensor as T
+from dualvit import training
 from dualvit.data import make_synthetic
 from dualvit.model import build_model, preset_config
 from dualvit.tensor import Tensor
@@ -151,3 +153,30 @@ def test_short_training_reduces_loss_and_reports_accuracy():
     assert report.losses[-1] < report.losses[0]
     assert 0.0 <= report.final_accuracy <= 1.0
     assert report.final_accuracy == pytest.approx(evaluate(model, data))
+
+
+@pytest.mark.parametrize("lr", [1e-3, 1e10], ids=["normal", "abort"])
+def test_each_step_graph_dies_with_the_step(monkeypatch, lr):
+    """An earlier step's logits are freed before the next loss or the final evaluate."""
+    cfg = preset_config("tiny")
+    data = make_synthetic(cfg.num_classes, 2, cfg.resolution, seed=4)
+    earlier: list[weakref.ref] = []
+    cross_entropy, evaluate_fn = T.cross_entropy_with_logits, training.evaluate
+
+    def all_dead():
+        return all(ref() is None for ref in earlier)
+
+    def checked_cross_entropy(logits, labels):
+        assert all_dead()
+        earlier.append(weakref.ref(logits.data))
+        return cross_entropy(logits, labels)
+
+    def checked_evaluate(*args, **kwargs):
+        assert all_dead()
+        return evaluate_fn(*args, **kwargs)
+
+    monkeypatch.setattr(T, "cross_entropy_with_logits", checked_cross_entropy)
+    monkeypatch.setattr(training, "evaluate", checked_evaluate)
+    report = train_toy(build_model(cfg), data, steps=3, batch_size=8, lr=lr)
+    assert report.aborted == (lr > 1)
+    assert len(earlier) == len(report.steps) >= 2
