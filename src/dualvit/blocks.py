@@ -98,7 +98,6 @@ class DualBlock(Module):
                  rng: np.random.Generator, dtype=None, variant: str = "D"):
         if variant not in DUAL_VARIANTS:
             raise ConfigError(f"unknown dual-block variant {variant!r}")
-        self.variant = variant
         self.steps = SEMANTIC_STEPS[variant]
         # semantic pathway: only the sublayers the steps name, built in this
         # fixed order whatever the step order, so C and D draw identical init
@@ -159,10 +158,6 @@ class MergeBlock(Module):
         self.ffn_z = FeedForward(dim, semantic_ratio, rng, dtype)
 
     def __call__(self, x: FeatureMap, z: SemanticTokens) -> tuple[FeatureMap, SemanticTokens]:
-        if x.channels != z.channels:
-            raise DimensionError(
-                f"pathway channel mismatch: pixel {x.channels} vs semantic {z.channels}"
-            )
         n, m = x.tokens.shape[-2], z.count
         joint = T.concat([x.tokens, z.tokens], axis=-2)
         yn = self.norm_joint(joint)
@@ -178,9 +173,7 @@ class PatchEmbed(Module):
 
     def __init__(self, in_channels: int, patch: int, out_channels: int,
                  rng: np.random.Generator, dtype=None):
-        self.in_channels = in_channels
         self.patch = patch
-        self.out_channels = out_channels
         self.proj = Linear(patch * patch * in_channels, out_channels, rng, dtype)
         self.norm = LayerNorm(out_channels, dtype)
 

@@ -24,12 +24,23 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--preset", choices=[n.lower() for n in PRESET_NAMES] + list(PRESET_NAMES),
                    help="named architecture preset")
     g.add_argument("--config", help="path to a JSON model config")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override config seed")
+    p.add_argument("--res", type=int, default=None)
 
 
 def _load_config_file(path: str) -> ModelConfig:
@@ -88,7 +99,7 @@ def cmd_count(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     report = training.gradcheck_block(args.block, tolerance=args.tol,
-                                      samples=args.samples, seed=args.seed or 0)
+                                      samples=args.samples, seed=args.seed)
     status = "PASS" if report.passed else "FAIL"
     print(f"[{status}] gradcheck {args.block}: max relative error "
           f"{report.max_rel_error:.3e} over {report.num_checked} parameters "
@@ -142,7 +153,7 @@ def cmd_eval(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise InputError(f"checkpoint not found: {args.checkpoint}")
     model = data.load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(args.data, model.config, args.per_class, args.seed or 0)
+    dataset = _load_dataset(args.data, model.config, args.per_class, args.seed)
     acc = training.evaluate(model, dataset)
     if args.json:
         print(json.dumps({"accuracy": acc, "samples": len(dataset.labels)}))
@@ -153,6 +164,9 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
+    if args.train_steps:
+        dataset = data.make_synthetic(cfg.num_classes, args.per_class,
+                                      cfg.resolution, seed=args.seed or 0)
     rows = []
     for variant in DUAL_VARIANTS:
         model = build_model(cfg, variant=variant)
@@ -160,8 +174,6 @@ def cmd_ablate(args) -> int:
         row = {"variant": variant, "params": report.params,
                "gmacs": report.macs / 1e9}
         if args.train_steps:
-            dataset = data.make_synthetic(cfg.num_classes, args.per_class,
-                                          cfg.resolution, seed=args.seed or 0)
             row["train_accuracy"] = training.train_toy(
                 model, dataset, steps=args.train_steps, seed=args.seed or 0
             ).final_accuracy
@@ -187,13 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("describe", help="print the per-stage architecture table")
     _add_model_args(p)
-    p.add_argument("--res", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_describe)
 
     p = sub.add_parser("count", help="analytic parameter and MAC report")
     _add_model_args(p)
-    p.add_argument("--res", type=int, default=None)
     p.add_argument("--variant", choices=DUAL_VARIANTS, default="D")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count)
@@ -202,38 +212,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", choices=("dual", "merge", "transformer", "model"),
                    default="dual")
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train", help="toy-scale training run")
     _add_model_args(p)
-    p.add_argument("--res", type=int, default=None)
     p.add_argument("--variant", choices=DUAL_VARIANTS, default="D")
     p.add_argument("--data", default="synthetic",
                    help="'synthetic' or path to a DVDS file")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch", type=int, default=16)
+    p.add_argument("--steps", type=_int_at_least(0), default=500)
+    p.add_argument("--batch", type=_int_at_least(1), default=16)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--wd", type=float, default=0.05)
-    p.add_argument("--per-class", type=int, default=8)
+    p.add_argument("--per-class", type=_int_at_least(1), default=8)
     p.add_argument("--out", default="runs/toy")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default="synthetic")
-    p.add_argument("--per-class", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--per-class", type=_int_at_least(1), default=8)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("ablate", help="compare dual-block variants A-D")
     _add_model_args(p)
-    p.add_argument("--res", type=int, default=None)
-    p.add_argument("--train-steps", type=int, default=0,
+    p.add_argument("--train-steps", type=_int_at_least(0), default=0,
                    help="optionally toy-train each variant this many steps")
-    p.add_argument("--per-class", type=int, default=8)
+    p.add_argument("--per-class", type=_int_at_least(1), default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_ablate)
 

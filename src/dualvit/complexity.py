@@ -76,7 +76,7 @@ def dual_block_attention_macs(n: int, m: int, dim: int) -> int:
 
 
 def dual_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
-                    semantic_ratio: int, variant: str = "D") -> int:
+                    semantic_ratio: int, variant: str) -> int:
     total = mha_macs(n, m, dim) + ffn_macs(n, dim, pixel_ratio)
     for _, _, source in SEMANTIC_STEPS[variant]:
         if source is None:
@@ -94,16 +94,16 @@ def merge_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
             + ffn_macs(m, dim, semantic_ratio))
 
 
-def _build_breakdown(model: DualViT, resolution: int) -> list[tuple[str, int, int]]:
+def count_macs(model: DualViT, resolution: int | None = None) -> CostReport:
+    """Analytic MACs (and params) for one forward pass at ``resolution``."""
     cfg = model.config
-    if resolution % cfg.total_stride() != 0:
+    res = resolution if resolution is not None else cfg.resolution
+    if res % cfg.total_stride() != 0:
         raise InputError(
-            f"resolution {resolution} not divisible by cumulative stride "
-            f"{cfg.total_stride()}"
+            f"resolution {res} not divisible by cumulative stride {cfg.total_stride()}"
         )
-    counts = cfg.token_counts(resolution)
-    entries: list[tuple[str, int, int]] = []
-    entries.append(("z0", model.z0.data.size, 0))
+    counts = cfg.token_counts(res)
+    entries: list[tuple[str, int, int]] = [("z0", model.z0.data.size, 0)]
     if cfg.pos_embed:
         entries.append(("pos_embed", model.pos_embed.data.size, 0))
     in_ch = 3
@@ -126,21 +126,6 @@ def _build_breakdown(model: DualViT, resolution: int) -> list[tuple[str, int, in
         in_ch = spec.channels
     entries.append(("head_norm", model.head_norm.num_params(), 0))
     entries.append(("head", model.head.num_params(), in_ch * cfg.num_classes))
-    return entries
-
-
-def count_params(model: DualViT) -> CostReport:
-    """Exact trainable-parameter enumeration, grouped by module path."""
-    breakdown = [(path, params, 0)
-                 for path, params, _ in _build_breakdown(model, model.config.resolution)]
-    return CostReport(params=sum(p for _, p, _ in breakdown), macs=0,
-                      breakdown=breakdown)
-
-
-def count_macs(model: DualViT, resolution: int | None = None) -> CostReport:
-    """Analytic MACs (and params) for one forward pass at ``resolution``."""
-    res = resolution if resolution is not None else model.config.resolution
-    breakdown = _build_breakdown(model, res)
-    return CostReport(params=sum(p for _, p, _ in breakdown),
-                      macs=sum(m for _, _, m in breakdown),
-                      breakdown=breakdown)
+    return CostReport(params=sum(p for _, p, _ in entries),
+                      macs=sum(m for _, _, m in entries),
+                      breakdown=entries)

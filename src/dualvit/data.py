@@ -64,14 +64,14 @@ def class_means(num_classes: int, resolution: int, seed: int = 0) -> np.ndarray:
 
 
 def make_synthetic(num_classes: int, per_class: int, resolution: int,
-                   seed: int = 0, noise_std: float = 0.1) -> Dataset:
-    """Class-conditional blob images plus Gaussian noise, byte-quantized."""
+                   seed: int = 0) -> Dataset:
+    """Class-conditional blob images plus Gaussian noise (std 0.1), byte-quantized."""
     rng = np.random.default_rng(seed)
     means = class_means(num_classes, resolution, seed)
     images = []
     labels = []
     for c in range(num_classes):
-        noise = noise_std * rng.standard_normal((per_class, resolution, resolution, 3))
+        noise = 0.1 * rng.standard_normal((per_class, resolution, resolution, 3))
         imgs = np.clip(means[c] + noise, 0.0, 1.0)
         images.append(imgs)
         labels.extend([c] * per_class)

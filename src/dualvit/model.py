@@ -133,38 +133,36 @@ class ModelConfig:
         return cfg
 
 
-def _stages(depths, heads, channels, ex, ez, patches):
-    return [StageSpec(*row, kind=_kind(i))
-            for i, row in enumerate(zip(depths, heads, channels, ex, ez, patches))]
+# Stage columns of each preset, one value per stage: depth, heads, channels,
+# pixel FFN ratio, semantic FFN ratio, patch size. Then the top-level fields
+# that differ from the ModelConfig defaults.
+_PRESETS = {
+    "S": (((3, 4, 6, 3), (2, 4, 10, 14), (64, 128, 320, 448),
+           (8, 8, 4, 3), (4, 4, 2, 2), (4, 2, 2, 2)), {}),
+    "B": (((3, 4, 15, 3), (2, 4, 10, 16), (64, 128, 320, 512),
+           (8, 8, 4, 3), (4, 4, 2, 2), (4, 2, 2, 2)), {}),
+    "L": (((3, 6, 21, 3), (3, 6, 12, 16), (96, 192, 384, 512),
+           (8, 8, 4, 3), (4, 4, 2, 2), (4, 2, 2, 2)), {}),
+    "tiny": (((1, 1, 1, 1), (2, 2, 4, 4), (16, 32, 48, 64),
+              (4, 4, 4, 4), (2, 2, 2, 2), (4, 2, 2, 2)),
+             {"m": 4, "num_classes": 8, "resolution": 32}),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str, **overrides) -> ModelConfig:
     """A named preset, with any top-level ``ModelConfig`` field overridden."""
-    key = name.lower()
-    if key == "s":
-        cfg = ModelConfig(_stages((3, 4, 6, 3), (2, 4, 10, 14), (64, 128, 320, 448),
-                                  (8, 8, 4, 3), (4, 4, 2, 2), (4, 2, 2, 2)))
-    elif key == "b":
-        cfg = ModelConfig(_stages((3, 4, 15, 3), (2, 4, 10, 16), (64, 128, 320, 512),
-                                  (8, 8, 4, 3), (4, 4, 2, 2), (4, 2, 2, 2)))
-    elif key == "l":
-        cfg = ModelConfig(_stages((3, 6, 21, 3), (3, 6, 12, 16), (96, 192, 384, 512),
-                                  (8, 8, 4, 3), (4, 4, 2, 2), (4, 2, 2, 2)))
-    elif key == "tiny":
-        cfg = ModelConfig(_stages((1, 1, 1, 1), (2, 2, 4, 4), (16, 32, 48, 64),
-                                  (4, 4, 4, 4), (2, 2, 2, 2), (4, 2, 2, 2)),
-                          m=4, num_classes=8, resolution=32)
-    else:
+    presets = {key.lower(): preset for key, preset in _PRESETS.items()}
+    if name.lower() not in presets:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESET_NAMES)}")
+    columns, top_level = presets[name.lower()]
     unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
-    cfg = replace(cfg, **overrides)
+    stages = [StageSpec(*row, kind=_kind(i)) for i, row in enumerate(zip(*columns))]
+    cfg = replace(ModelConfig(stages, **top_level), **overrides)
     cfg.validate()
     return cfg
-
-
-PRESET_NAMES = ("S", "B", "L", "tiny")
 
 
 class DualViT(Module):
@@ -179,16 +177,14 @@ class DualViT(Module):
         self.transitions: list[SemanticTransition] = []
         self.stage_blocks: list[list[Module]] = []
         in_ch = 3
-        res = config.resolution
         for i, spec in enumerate(config.stages):
             self.patch_embeds.append(PatchEmbed(in_ch, spec.patch_size, spec.channels, rng, dt))
-            res //= spec.patch_size
             if i == 0:
                 self.z0 = Tensor(trunc_normal(rng, (1, config.m, spec.channels), dtype=dt),
                                  requires_grad=True)
                 if config.pos_embed:
-                    self.pos_embed = Tensor(
-                        trunc_normal(rng, (1, res * res, spec.channels), dtype=dt),
+                    self.pos_embed = Tensor(trunc_normal(
+                        rng, (1, config.token_counts()[0], spec.channels), dtype=dt),
                         requires_grad=True)
             else:
                 self.transitions.append(SemanticTransition(in_ch, spec.channels, rng, dt))

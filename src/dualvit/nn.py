@@ -13,23 +13,22 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=None):
-    """Normal(0, std) samples rejected outside ±2 std. Deterministic under rng."""
-    dt = np.dtype(dtype or T.DEFAULT_DTYPE)
-    draw_dt = dt if dt in (np.float32, np.float64) else np.float64
-    out = rng.standard_normal(shape, dtype=draw_dt)
+def trunc_normal(rng: np.random.Generator, shape, dtype=None):
+    """Normal(0, 0.02) samples rejected outside ±2 std. Deterministic under rng."""
+    dt = dtype or T.DEFAULT_DTYPE
+    out = rng.standard_normal(shape, dtype=dt)
     flat = out.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > 2.0)
     while idx.size:
-        redraw = rng.standard_normal(idx.size, dtype=draw_dt)
+        redraw = rng.standard_normal(idx.size, dtype=dt)
         flat[idx] = redraw
         idx = idx[np.abs(redraw) > 2.0]
-    out *= std
-    return out.astype(dt, copy=False)
+    out *= 0.02
+    return out
 
 
 class Module:
@@ -60,28 +59,20 @@ class Module:
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=None):
-        self.d_in = d_in
-        self.d_out = d_out
         self.weight = Tensor(trunc_normal(rng, (d_in, d_out), dtype=dtype), requires_grad=True)
         self.bias = Tensor(np.zeros(d_out, dtype=dtype or T.DEFAULT_DTYPE), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.d_in:
-            raise DimensionError(
-                f"linear expects last dim {self.d_in}, got input shape {x.shape}"
-            )
         return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=None, eps: float = 1e-6):
-        self.dim = dim
-        self.eps = eps
+    def __init__(self, dim: int, dtype=None):
         self.gamma = Tensor(np.ones(dim, dtype=dtype or T.DEFAULT_DTYPE), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, dtype=dtype or T.DEFAULT_DTYPE), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layernorm(x, self.gamma, self.beta, self.eps)
+        return T.layernorm(x, self.gamma, self.beta)
 
 
 class MultiHeadAttention(Module):
@@ -103,15 +94,6 @@ class MultiHeadAttention(Module):
         return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-        if q.shape[-1] != self.dim or k.shape[-1] != self.dim or v.shape[-1] != self.dim:
-            raise DimensionError(
-                f"attention expects channel dim {self.dim}; got "
-                f"q {q.shape}, k {k.shape}, v {v.shape}"
-            )
-        if k.shape[-2] != v.shape[-2]:
-            raise DimensionError(
-                f"key/value token counts differ: {k.shape[-2]} vs {v.shape[-2]}"
-            )
         b, n_q, _ = q.shape
         weights = self.attention_weights(q, k)
         mixed = T.matmul(weights, self._split_heads(self.v_proj(v)))

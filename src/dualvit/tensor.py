@@ -63,10 +63,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -258,7 +254,10 @@ def gelu(a: Tensor) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = -2) -> Tensor:
     if not tensors:
         raise DimensionError("concat requires at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        raise DimensionError(f"concat shapes incompatible: {[t.shape for t in tensors]}") from exc
     cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
     return _make(out, tuple(tensors), lambda g: np.split(g, cuts, axis=axis))
 

@@ -1,8 +1,9 @@
 """Toy-scale supervised training and the finite-difference gradient checker.
 
 The optimizer is AdamW with decoupled weight decay: the decay factor is
-applied to the parameter before the bias-corrected moment update. The
-schedule is cosine decay from the base learning rate to zero, no warmup.
+applied to the parameter before the bias-corrected moment update (moment
+decay rates 0.9 and 0.999, eps 1e-8). The schedule is cosine decay from the
+base learning rate to zero, no warmup.
 
 Gradient checking runs in 64-bit: central differences with step 1e-5 on a
 random subsample of parameters, relative error against the analytic gradient
@@ -26,13 +27,9 @@ from .tensor import Tensor
 
 
 class AdamW:
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.05):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.05):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
@@ -40,7 +37,7 @@ class AdamW:
 
     def step(self, lr: float | None = None) -> None:
         lr = self.lr if lr is None else lr
-        b1, b2 = self.betas
+        b1, b2 = 0.9, 0.999
         self.step_count += 1
         t = self.step_count
         for i, p in enumerate(self.params):
@@ -57,7 +54,7 @@ class AdamW:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** t)
             v_hat = self.v[i] / (1.0 - b2 ** t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -65,8 +62,6 @@ class AdamW:
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
-    if total_steps <= 0:
-        return base_lr
     frac = min(step / total_steps, 1.0)
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * frac))
 
@@ -95,7 +90,6 @@ def gradcheck(loss_fn: Callable[[], Tensor],
               named_params: list[tuple[str, Tensor]],
               tolerance: float = 1e-4,
               samples: int = 200,
-              step: float = 1e-5,
               seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of ``loss_fn`` against central differences.
 
@@ -118,6 +112,7 @@ def gradcheck(loss_fn: Callable[[], Tensor],
 
     report = GradCheckReport(max_rel_error=0.0, num_checked=len(flat_index),
                              tolerance=tolerance)
+    step = 1e-5
     for name, p, i in flat_index:
         orig = p.data.flat[i]
         p.data.flat[i] = orig + step

@@ -75,7 +75,7 @@ def test_criterion_parameter_totals():
     details = []
     ok = True
     for name, target in PUBLISHED_PARAMS.items():
-        params = complexity.count_params(build_model(preset_config(name))).params
+        params = complexity.count_macs(build_model(preset_config(name))).params
         rel = (params - target) / target
         details.append(f"{name}={params / 1e6:.2f}M ({rel:+.1%})")
         ok &= abs(rel) <= 0.10
@@ -94,7 +94,7 @@ def test_criterion_small_model_macs():
 
 def test_criterion_ablation_parameter_ordering():
     budget = _Budget(10.0)
-    params = {v: complexity.count_params(build_model(preset_config("S"), variant=v)).params
+    params = {v: complexity.count_macs(build_model(preset_config("S"), variant=v)).params
               for v in "ABCD"}
     ordered = params["B"] < params["A"] < params["C"] == params["D"]
     da = params["D"] - params["A"]

@@ -5,7 +5,7 @@ from dualvit import complexity
 from dualvit import tensor as T
 from dualvit.blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed,
                             SemanticTokens, SemanticTransition, TransformerBlock)
-from dualvit.errors import ConfigError, InputError
+from dualvit.errors import ConfigError, DimensionError, InputError
 from dualvit.tensor import Tensor
 from tests.test_nn import _randomize
 
@@ -220,6 +220,11 @@ class TestMergeBlock:
         x_out, z_out = blk(FeatureMap(Tensor(x), 2, 2), SemanticTokens(Tensor(z)))
         np.testing.assert_allclose(x_out.tokens.data, ex, atol=1e-6)
         np.testing.assert_allclose(z_out.tokens.data, ez, atol=1e-6)
+
+    def test_pathway_channel_mismatch_is_dimension_error(self, rng):
+        blk = MergeBlock(8, 2, 2, 2, rng, np.float64)
+        with pytest.raises(DimensionError):
+            blk(_fm(rng, 4, 8), _st(rng, 2, 6))
 
     def test_zero_weights_is_identity(self, rng):
         blk = MergeBlock(8, 2, 2, 2, rng, np.float64)

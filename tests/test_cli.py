@@ -309,3 +309,30 @@ def test_malformed_checkpoint_is_usage_error(tmp_path, capsys, blob):
     code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--preset", "tiny", "--steps", "1", "--batch", "0"],
+    ["train", "--preset", "tiny", "--steps", "1", "--batch", "-2"],
+    ["train", "--preset", "tiny", "--steps", "-3"],
+    ["train", "--preset", "tiny", "--steps", "1", "--per-class", "-1"],
+    ["gradcheck", "--samples", "0"],
+    ["gradcheck", "--samples", "-1"],
+    ["gradcheck", "--seed", "-1"],
+    ["eval", "--seed", "-1"],
+    ["eval", "--per-class", "-1"],
+    ["ablate", "--preset", "tiny", "--train-steps", "-1"],
+], ids=["train-batch-0", "train-batch-negative", "train-steps-negative",
+        "train-per-class-negative", "gradcheck-samples-0", "gradcheck-samples-negative",
+        "gradcheck-seed-negative", "eval-seed-negative", "eval-per-class-negative",
+        "ablate-train-steps-negative"])
+def test_out_of_range_count_or_seed_is_usage_error(tmp_path, capsys, argv):
+    if argv[0] == "train":
+        argv = argv + ["--out", str(tmp_path / "run")]
+    if argv[0] == "eval":
+        ckpt = tmp_path / "m.dvcp"
+        save_checkpoint(build_model(preset_config("tiny")), str(ckpt))
+        argv = argv + ["--checkpoint", str(ckpt)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

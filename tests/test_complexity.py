@@ -19,7 +19,7 @@ def test_linear_param_count_anchor():
 ])
 def test_count_params_matches_registry(name, variant):
     model = build_model(preset_config(name), variant=variant)
-    report = complexity.count_params(model)
+    report = complexity.count_macs(model)
     brute = sum(p.data.size for _, p in model.named_parameters())
     assert report.params == brute
     assert sum(p for _, p, _ in report.breakdown) == report.params
@@ -41,7 +41,7 @@ def test_small_preset_macs_near_published():
 
 
 def test_small_preset_params_near_published():
-    report = complexity.count_params(build_model(preset_config("S")))
+    report = complexity.count_macs(build_model(preset_config("S")))
     assert abs(report.params - 24.6e6) / 24.6e6 < 0.10
 
 
@@ -91,7 +91,7 @@ def test_executed_matmul_macs_equal_analytic(monkeypatch, variant):
 
 
 def test_ablation_deltas():
-    params = {v: complexity.count_params(build_model(preset_config("S"), variant=v)).params
+    params = {v: complexity.count_macs(build_model(preset_config("S"), variant=v)).params
               for v in "ABD"}
     d_minus_a = params["D"] - params["A"]
     d_minus_b = params["D"] - params["B"]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dualvit.errors import ConfigError, FormatError, InputError
 from dualvit.model import ModelConfig, StageSpec, build_model, preset_config
+from dualvit.tensor import Tensor
 
 # published per-stage architecture table: depth, heads, channels, E^x, E^z, patch
 ARCH_TABLE = {
@@ -82,9 +83,15 @@ def test_wrong_layout_rejected(rng):
 def test_logits_finite_at_reduced_resolution(name, rng):
     cfg = preset_config(name, resolution=64)
     model = build_model(cfg)
-    logits = model(rng.random((1, 64, 64, 3)).astype(np.float32))
-    assert np.all(np.isfinite(logits.data))
+    images = rng.random((1, 64, 64, 3)).astype(np.float32)
+    logits = model(images).data
+    assert np.all(np.isfinite(logits))
     assert logits.shape == (1, cfg.num_classes)
+    # the same weights and images in float64 agree with the float32 forward
+    for p in model.parameters():
+        p.data, p.requires_grad = p.data.astype(np.float64), False
+    logits64 = model(Tensor(images, dtype=np.float64)).data
+    assert np.abs(logits - logits64).max() <= 1e-4 * max(1.0, np.abs(logits64).max())
 
 
 class TestAblations:

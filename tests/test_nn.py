@@ -91,6 +91,9 @@ class TestMha:
         with pytest.raises(DimensionError):
             mha(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 3, 4))),
                 Tensor(np.zeros((1, 4, 4))))
+        with pytest.raises(DimensionError):  # a query of the wrong width
+            mha(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 4))),
+                Tensor(np.zeros((1, 3, 4))))
 
     def test_weights_are_convex_combinations(self, rng):
         mha = MultiHeadAttention(8, 4, rng, np.float64)

@@ -203,6 +203,10 @@ class TestConcatSplit:
         for p, piece in zip(parts, back):
             np.testing.assert_array_equal(piece.data, p)
 
+    def test_concat_mismatched_shapes_is_dimension_error(self):
+        with pytest.raises(DimensionError, match=r"\(1, 2, 3\).*\(1, 2, 4\)"):
+            T.concat([Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros((1, 2, 4)))])
+
     def test_split_bad_sizes(self):
         with pytest.raises(DimensionError):
             T.split(Tensor(np.zeros((1, 5, 2))), [2, 2], axis=-2)
