@@ -13,6 +13,10 @@ may skip an input that does not require grad). Rules never write ``grad``:
 the tape sums each returned gradient down to its parent's shape, undoing
 numpy broadcasting, and adds it into zeros laid out like the parent's data.
 
+Inside ``with no_grad():`` ops record no graph and return tensors that do
+not require grad, so a forward for evaluation frees each activation as soon
+as nothing reads it.
+
 The token axis is the second-to-last axis throughout (``concat``/``split``
 default to it). All forward results are deterministic functions of their
 inputs.
@@ -22,7 +26,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .errors import ContractError, DimensionError
 DEFAULT_DTYPE = np.float32
 
 _debug_checks = bool(int(os.environ.get("DUALVIT_DEBUG", "0")))
+_grad_enabled = True
 
 
 def set_debug(enabled: bool) -> None:
@@ -118,11 +124,22 @@ class Tensor:
                     grads[id(p)] += pg if pg.shape == shape else _unbroadcast(pg, shape)
 
 
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Within this block, forward ops record no graph; nests."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     if _debug_checks and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite value produced by forward op")
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -237,16 +254,38 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³)))."""
+    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))).
+
+    Forward and backward each own at most two full-size buffers and fill them
+    with in-place ufuncs; the cube is two multiplies, not ``np.power``. The
+    backward keeps ``t``; neither pass writes into ``x``, ``t`` or ``g``.
+    """
     x = a.data
-    u = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
 
     def backward(g: np.ndarray):
-        du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
-        return (g * local,)
+        # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
+        local = x * (3.0 * _GELU_A)
+        local *= x
+        local += 1.0
+        local *= _GELU_C
+        tmp = t * t
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= x
+        tmp *= 0.5
+        local *= tmp
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        local += tmp
+        return (np.multiply(g, local, out=local if g.dtype == local.dtype else None),)
 
     return _make(out, (a,), backward)
 
@@ -290,11 +329,11 @@ def mean(a: Tensor, axis: int) -> Tensor:
     ax = axis if axis >= 0 else a.data.ndim + axis
     n = a.shape[ax]
     return _make(a.data.mean(axis=ax), (a,),
-                 lambda g: (np.expand_dims(g, ax) / n * np.ones_like(a.data),))
+                 lambda g: (np.broadcast_to(np.expand_dims(g, ax) / n, a.shape),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.ones_like(a.data) * g,))
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

@@ -115,10 +115,11 @@ def gradcheck(loss_fn: Callable[[], Tensor],
     step = 1e-5
     for name, p, i in flat_index:
         orig = p.data.flat[i]
-        p.data.flat[i] = orig + step
-        plus = loss_fn().item()
-        p.data.flat[i] = orig - step
-        minus = loss_fn().item()
+        with T.no_grad():
+            p.data.flat[i] = orig + step
+            plus = loss_fn().item()
+            p.data.flat[i] = orig - step
+            minus = loss_fn().item()
         p.data.flat[i] = orig
         numeric = (plus - minus) / (2.0 * step)
         ana = float(analytic[name].flat[i])
@@ -216,10 +217,11 @@ def evaluate(model: DualViT, dataset, batch_size: int = 16) -> float:
     """Top-1 accuracy of ``model`` on ``dataset``."""
     correct = 0
     n = len(dataset.labels)
-    for start in range(0, n, batch_size):
-        batch = dataset.images[start:start + batch_size]
-        logits = model(batch).data
-        correct += int((logits.argmax(axis=-1) == dataset.labels[start:start + batch_size]).sum())
+    with T.no_grad():
+        for start in range(0, n, batch_size):
+            batch = dataset.images[start:start + batch_size]
+            logits = model(batch).data
+            correct += int((logits.argmax(axis=-1) == dataset.labels[start:start + batch_size]).sum())
     return correct / n
 
 

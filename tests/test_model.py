@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualvit import tensor as T
 from dualvit.errors import ConfigError, FormatError, InputError
 from dualvit.model import ModelConfig, StageSpec, build_model, preset_config
 from dualvit.tensor import Tensor
@@ -198,3 +199,16 @@ def test_config_parser_accepts_valid_or_raises_config_errors(raw):
     except (ConfigError, FormatError):
         return
     cfg.validate()
+
+
+def test_no_grad_forward_gives_the_same_logits_without_a_graph():
+    cfg = preset_config("tiny", seed=3)
+    model = build_model(cfg)
+    images = np.random.default_rng(3).random((2, cfg.resolution, cfg.resolution, 3))
+    recorded = model(images)
+    with T.no_grad():
+        quiet = model(images)
+    assert recorded.requires_grad and recorded._parents
+    assert not quiet.requires_grad and quiet._parents == ()
+    assert quiet.data.dtype == recorded.data.dtype
+    assert quiet.data.tobytes() == recorded.data.tobytes()

@@ -192,6 +192,105 @@ class TestBackward:
         assert_grad_close(b.grad, finite_diff(forward, b.data), tol=1e-6)
 
 
+# 0, ±1e-3, ±3, ±10, ±1e4, plus a dense sweep of the curved region
+GELU_GRID = np.concatenate([[0.0, 1e-3, -1e-3, 3.0, -3.0, 10.0, -10.0, 1e4, -1e4],
+                            np.linspace(-6.0, 6.0, 1201)])
+
+
+def gelu_float64(x):
+    """The tanh-form GELU and its derivative, evaluated in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + k * x**3))
+    du = c * (1.0 + 3.0 * k * x * x)
+    return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+
+
+class TestGelu:
+    def test_float32_matches_float64_formula(self):
+        """|f32 - f64| <= 2 eps max(1, |x|) forward and 4 eps max(1, |x|) backward.
+
+        eps is float32's machine epsilon; the largest errors seen on dense
+        sweeps of [-12, 12] and ±[1e-6, 1e5] are 0.97 and 1.9 of those units.
+        """
+        x = GELU_GRID.astype(np.float32)
+        a = Tensor(x, requires_grad=True)
+        out = T.gelu(a)
+        T.sum_all(out).backward()
+        want_out, want_grad = gelu_float64(x)
+        unit = np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x.astype(np.float64)))
+        assert out.data.dtype == np.float32 and a.grad.dtype == np.float32
+        assert np.all(np.abs(out.data - want_out) <= 2 * unit)
+        assert np.all(np.abs(a.grad - want_grad) <= 4 * unit)
+
+    @pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+    def test_rule_writes_into_neither_input_nor_gradient(self, rng, g_dtype):
+        x = rng.standard_normal((3, 5)).astype(np.float32)
+        g = rng.standard_normal((3, 5)).astype(g_dtype)
+        a = Tensor(x.copy(), requires_grad=True)
+        out = T.gelu(a)
+        saved_out, saved_g = out.data.copy(), g.copy()
+        (first,) = out._backward(g)
+        (second,) = out._backward(g)
+        assert a.data.tobytes() == x.tobytes()
+        assert g.tobytes() == saved_g.tobytes()
+        assert out.data.tobytes() == saved_out.tobytes()
+        assert first.dtype == np.result_type(g, x)
+        assert first is not g and first.tobytes() == second.tobytes()
+
+    @pytest.mark.parametrize("probe_dtype", [np.float32, np.float64])
+    def test_backward_twice_on_one_graph_doubles_the_gradient(self, rng, probe_dtype):
+        a = Tensor(rng.standard_normal((4, 6)).astype(np.float32), requires_grad=True)
+        probe = Tensor(rng.standard_normal((4, 6)).astype(probe_dtype))
+        loss = T.sum_all(T.mul(T.gelu(a), probe))
+        loss.backward()
+        once = a.grad.copy()
+        loss.backward()
+        np.testing.assert_array_equal(a.grad, 2 * once)
+
+
+class TestNoGrad:
+    def test_records_no_graph_and_nests(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                inner = T.scale(w, 2.0)
+            outer = T.gelu(w)
+        after = T.scale(w, 2.0)
+        for t in (inner, outer):
+            assert not t.requires_grad and t._parents == () and t._backward is None
+        assert after.requires_grad and after._parents == (w,)
+
+    def test_recording_resumes_after_an_exception(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(DimensionError), T.no_grad():
+            T.add(w, Tensor(np.ones(2)))
+        assert T.scale(w, 2.0).requires_grad
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_mean_gradient_equals_the_ones_like_form(rng, axis):
+    a = Tensor(rng.standard_normal((2, 5, 3)).astype(np.float32), requires_grad=True)
+    out = T.mean(a, axis)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    g.flat[0] = -0.0
+    (got,) = out._backward(g)
+    want = np.expand_dims(g, axis) / a.shape[axis] * np.ones_like(a.data)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("g", [-1.5, -0.0])
+def test_sum_all_gradient_equals_the_ones_like_form(rng, g):
+    a = Tensor(rng.standard_normal((2, 5, 3)).astype(np.float32), requires_grad=True)
+    out = T.sum_all(a)
+    g = np.asarray(g, dtype=np.float32)
+    (got,) = out._backward(g)
+    want = np.ones_like(a.data) * g
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestConcatSplit:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.integers(1, 5))

@@ -7,7 +7,7 @@ import pytest
 from dualvit import tensor as T
 from dualvit import training
 from dualvit.data import make_synthetic
-from dualvit.model import build_model, preset_config
+from dualvit.model import DualViT, build_model, preset_config
 from dualvit.tensor import Tensor
 from dualvit.training import (AdamW, cosine_lr, evaluate, gradcheck,
                               gradcheck_block, train_toy)
@@ -180,3 +180,32 @@ def test_each_step_graph_dies_with_the_step(monkeypatch, lr):
     report = train_toy(build_model(cfg), data, steps=3, batch_size=8, lr=lr)
     assert report.aborted == (lr > 1)
     assert len(earlier) == len(report.steps) >= 2
+
+
+def test_evaluate_builds_no_graph(monkeypatch):
+    """Evaluation logits carry no graph, and each GELU activation is freed by
+    the time the forward that made it returns."""
+    cfg = preset_config("tiny")
+    data = make_synthetic(cfg.num_classes, 2, cfg.resolution, seed=5)
+    model = build_model(cfg)
+    activations: list[weakref.ref] = []
+    logits_seen: list[weakref.ref] = []
+    gelu, forward = T.gelu, DualViT.__call__
+
+    def recorded_gelu(a):
+        out = gelu(a)
+        activations.append(weakref.ref(out.data))
+        return out
+
+    def checked_forward(self, images):
+        logits = forward(self, images)
+        assert not logits.requires_grad and logits._parents == ()
+        assert activations and all(ref() is None for ref in activations)
+        logits_seen.append(weakref.ref(logits.data))
+        return logits
+
+    monkeypatch.setattr(T, "gelu", recorded_gelu)
+    monkeypatch.setattr(DualViT, "__call__", checked_forward)
+    evaluate(model, data, batch_size=8)
+    assert len(logits_seen) == 2
+    assert all(ref() is None for ref in logits_seen + activations)
