@@ -77,12 +77,11 @@ class SemanticTokens:
 
 
 class TransformerBlock(Module):
-    def __init__(self, dim: int, heads: int, ffn_ratio: int,
-                 rng: np.random.Generator, dtype=None):
-        self.norm_attn = LayerNorm(dim, dtype)
-        self.attn = MultiHeadAttention(dim, heads, rng, dtype)
-        self.norm_ffn = LayerNorm(dim, dtype)
-        self.ffn = FeedForward(dim, ffn_ratio, rng, dtype)
+    def __init__(self, dim: int, heads: int, ffn_ratio: int, rng: np.random.Generator):
+        self.norm_attn = LayerNorm(dim)
+        self.attn = MultiHeadAttention(dim, heads, rng)
+        self.norm_ffn = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ffn_ratio, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         xn = self.norm_attn(x)
@@ -95,31 +94,31 @@ class DualBlock(Module):
     from ``SEMANTIC_STEPS``."""
 
     def __init__(self, dim: int, heads: int, pixel_ratio: int, semantic_ratio: int,
-                 rng: np.random.Generator, dtype=None, variant: str = "D"):
+                 rng: np.random.Generator, variant: str = "D"):
         if variant not in DUAL_VARIANTS:
             raise ConfigError(f"unknown dual-block variant {variant!r}")
         self.steps = SEMANTIC_STEPS[variant]
         # semantic pathway: only the sublayers the steps name, built in this
         # fixed order whatever the step order, so C and D draw identical init
-        self.norm_x_sem = LayerNorm(dim, dtype)
+        self.norm_x_sem = LayerNorm(dim)
         sublayers = {
-            "norm_z": lambda: LayerNorm(dim, dtype),
-            "sem_self": lambda: MultiHeadAttention(dim, heads, rng, dtype),
-            "norm_z_mid": lambda: LayerNorm(dim, dtype),
-            "sem_cross": lambda: MultiHeadAttention(dim, heads, rng, dtype),
-            "norm_z_ffn": lambda: LayerNorm(dim, dtype),
-            "sem_ffn": lambda: FeedForward(dim, semantic_ratio, rng, dtype),
+            "norm_z": lambda: LayerNorm(dim),
+            "sem_self": lambda: MultiHeadAttention(dim, heads, rng),
+            "norm_z_mid": lambda: LayerNorm(dim),
+            "sem_cross": lambda: MultiHeadAttention(dim, heads, rng),
+            "norm_z_ffn": lambda: LayerNorm(dim),
+            "sem_ffn": lambda: FeedForward(dim, semantic_ratio, rng),
         }
         used = {attr for step in self.steps for attr in step[:2]}
         for attr, make in sublayers.items():
             if attr in used:
                 setattr(self, attr, make())
         # pixel pathway
-        self.norm_x_pix = LayerNorm(dim, dtype)
-        self.norm_z_out = LayerNorm(dim, dtype)
-        self.pix_cross = MultiHeadAttention(dim, heads, rng, dtype)
-        self.norm_x_ffn = LayerNorm(dim, dtype)
-        self.pix_ffn = FeedForward(dim, pixel_ratio, rng, dtype)
+        self.norm_x_pix = LayerNorm(dim)
+        self.norm_z_out = LayerNorm(dim)
+        self.pix_cross = MultiHeadAttention(dim, heads, rng)
+        self.norm_x_ffn = LayerNorm(dim)
+        self.pix_ffn = FeedForward(dim, pixel_ratio, rng)
 
     def _semantic_pathway(self, x: Tensor, z: Tensor) -> Tensor:
         xn = self.norm_x_sem(x)
@@ -149,13 +148,13 @@ class DualBlock(Module):
 
 class MergeBlock(Module):
     def __init__(self, dim: int, heads: int, pixel_ratio: int, semantic_ratio: int,
-                 rng: np.random.Generator, dtype=None):
-        self.norm_joint = LayerNorm(dim, dtype)
-        self.attn = MultiHeadAttention(dim, heads, rng, dtype)
-        self.norm_x = LayerNorm(dim, dtype)
-        self.ffn_x = FeedForward(dim, pixel_ratio, rng, dtype)
-        self.norm_z = LayerNorm(dim, dtype)
-        self.ffn_z = FeedForward(dim, semantic_ratio, rng, dtype)
+                 rng: np.random.Generator):
+        self.norm_joint = LayerNorm(dim)
+        self.attn = MultiHeadAttention(dim, heads, rng)
+        self.norm_x = LayerNorm(dim)
+        self.ffn_x = FeedForward(dim, pixel_ratio, rng)
+        self.norm_z = LayerNorm(dim)
+        self.ffn_z = FeedForward(dim, semantic_ratio, rng)
 
     def __call__(self, x: FeatureMap, z: SemanticTokens) -> tuple[FeatureMap, SemanticTokens]:
         n, m = x.tokens.shape[-2], z.count
@@ -172,10 +171,10 @@ class PatchEmbed(Module):
     """Flatten non-overlapping p×p patches, project to the new width, LN."""
 
     def __init__(self, in_channels: int, patch: int, out_channels: int,
-                 rng: np.random.Generator, dtype=None):
+                 rng: np.random.Generator):
         self.patch = patch
-        self.proj = Linear(patch * patch * in_channels, out_channels, rng, dtype)
-        self.norm = LayerNorm(out_channels, dtype)
+        self.proj = Linear(patch * patch * in_channels, out_channels, rng)
+        self.norm = LayerNorm(out_channels)
 
     def __call__(self, x: FeatureMap) -> FeatureMap:
         p = self.patch
@@ -195,10 +194,9 @@ class PatchEmbed(Module):
 class SemanticTransition(Module):
     """Carry semantic tokens across a stage boundary: linear projection + LN."""
 
-    def __init__(self, in_channels: int, out_channels: int,
-                 rng: np.random.Generator, dtype=None):
-        self.proj = Linear(in_channels, out_channels, rng, dtype)
-        self.norm = LayerNorm(out_channels, dtype)
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
+        self.proj = Linear(in_channels, out_channels, rng)
+        self.norm = LayerNorm(out_channels)
 
     def __call__(self, z: SemanticTokens) -> SemanticTokens:
         return SemanticTokens(self.norm(self.proj(z.tokens)))

@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 check failure, 2 usage or input error.
 Set DUALVIT_THREADS to cap BLAS worker threads (the ``dualvit`` package
 applies it on import, before numpy loads; it also makes runs reproducible
-across machines with different core counts).
+across machines with different core counts). Set DUALVIT_DEBUG (any value
+but empty or ``0``) to stop at the first forward op that makes a NaN or Inf;
+that stop exits 1.
 """
 
 from __future__ import annotations
@@ -256,7 +258,7 @@ def main(argv=None) -> int:
     except (InputError, ConfigError, FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except DualVitError as exc:
+    except (DualVitError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE
 

@@ -5,11 +5,13 @@ DVDS v1 (packed image dataset, little-endian throughout):
     | u16 classes | N records of (u16 label + H*W*3 bytes, row-major,
     pixel value = byte / 255)
 
-DVCP v1 (checkpoint):
-    magic "DVCP" | u32 version=1 | u32 manifest_len | manifest JSON (UTF-8:
+DVCP v2 (checkpoint):
+    magic "DVCP" | u32 version=2 | u32 manifest_len | manifest JSON (UTF-8:
     model config echo, ablation variant, ordered entries of name + shape)
     | concatenated raw little-endian float32 payloads in entry order
-    | u32 CRC32 of the payload bytes
+    | u32 CRC32 of every preceding byte (header, manifest and payload)
+
+Only v2 is read: the v1 CRC left the manifest unchecked.
 
 Both round trips are bit-exact. Synthetic images are quantized to the
 byte grid so that a DVDS round trip reproduces them exactly.
@@ -30,6 +32,7 @@ from .model import DualViT, ModelConfig, build_model
 
 DVDS_MAGIC = b"DVDS"
 DVCP_MAGIC = b"DVCP"
+DVCP_VERSION = 2
 
 
 @dataclass
@@ -153,12 +156,11 @@ def save_checkpoint(model: DualViT, path: str) -> None:
         "variant": model.variant,
         "entries": entries,
     }).encode("utf-8")
+    head = DVCP_MAGIC + struct.pack("<II", DVCP_VERSION, len(manifest)) + manifest
     with open(path, "wb") as fh:
-        fh.write(DVCP_MAGIC)
-        fh.write(struct.pack("<II", 1, len(manifest)))
-        fh.write(manifest)
+        fh.write(head)
         fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(payload))))
+        fh.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
 
 
 def _read_checkpoint(path: str) -> tuple[dict, np.ndarray]:
@@ -169,26 +171,28 @@ def _read_checkpoint(path: str) -> tuple[dict, np.ndarray]:
     if blob[:4] != DVCP_MAGIC:
         raise FormatError(f"bad magic {blob[:4]!r}, expected {DVCP_MAGIC!r}")
     version, manifest_len = struct.unpack_from("<II", blob, 4)
-    if version != 1:
-        raise FormatError(f"unsupported DVCP version {version}")
+    if version != DVCP_VERSION:
+        raise FormatError(f"unsupported DVCP version {version}: this reader reads "
+                          f"version {DVCP_VERSION} only")
     manifest_end = 12 + manifest_len
     if len(blob) < manifest_end + 4:
         raise FormatError(
             f"truncated DVCP file: a {manifest_len}-byte manifest needs at least "
             f"{manifest_end + 4} bytes, got {len(blob)}"
         )
+    (checksum,) = struct.unpack_from("<I", blob, len(blob) - 4)
+    if zlib.crc32(memoryview(blob)[:-4]) != checksum:
+        raise FormatError("checkpoint checksum mismatch")
     try:
         manifest = json.loads(blob[12:manifest_end].decode("utf-8"))
     except ValueError as exc:
         raise FormatError(f"checkpoint manifest is not UTF-8 JSON: {exc}") from exc
     _check_manifest(manifest)
-    payload = blob[manifest_end:-4]
-    (checksum,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(payload) != checksum:
-        raise FormatError("checkpoint payload checksum mismatch")
-    if len(payload) % 4:
-        raise FormatError(f"checkpoint payload of {len(payload)} bytes is not float32 data")
-    return manifest, np.frombuffer(payload, dtype="<f4")
+    payload_len = len(blob) - 4 - manifest_end
+    if payload_len % 4:
+        raise FormatError(f"checkpoint payload of {payload_len} bytes is not float32 data")
+    return manifest, np.frombuffer(blob, dtype="<f4", count=payload_len // 4,
+                                   offset=manifest_end)
 
 
 def _check_manifest(manifest) -> None:
@@ -206,26 +210,11 @@ def _check_manifest(manifest) -> None:
         raise FormatError("checkpoint entries must be a list of {name, shape} objects")
 
 
-def load_checkpoint_into(model: DualViT, path: str) -> None:
-    """Load parameters into an existing model, validating names and shapes."""
-    manifest, flat = _read_checkpoint(path)
-    _fill(model, ModelConfig.from_dict(manifest["config"]), manifest, flat)
-
-
 def load_checkpoint(path: str) -> DualViT:
     """Rebuild the model described by the checkpoint's config echo."""
     manifest, flat = _read_checkpoint(path)
-    config = ModelConfig.from_dict(manifest["config"])
-    model = build_model(config, variant=manifest["variant"])
-    _fill(model, config, manifest, flat)
-    return model
-
-
-def _fill(model: DualViT, config: ModelConfig, manifest: dict, flat: np.ndarray) -> None:
-    if config != model.config or manifest["variant"] != model.variant:
-        raise ConfigError(
-            "checkpoint was saved for a different model configuration"
-        )
+    model = build_model(ModelConfig.from_dict(manifest["config"]),
+                        variant=manifest["variant"])
     params = list(model.named_parameters())
     listed = [entry["name"] for entry in manifest["entries"]]
     names = [name for name, _ in params]
@@ -244,7 +233,8 @@ def _fill(model: DualViT, config: ModelConfig, manifest: dict, flat: np.ndarray)
         size = int(np.prod(shape))
         if offset + size > flat.size:
             raise FormatError("checkpoint payload shorter than manifest describes")
-        p.data[...] = flat[offset:offset + size].reshape(shape).astype(p.data.dtype)
+        p.data[...] = flat[offset:offset + size].reshape(shape)
         offset += size
     if offset != flat.size:
         raise FormatError("checkpoint payload longer than manifest describes")
+    return model

@@ -166,11 +166,10 @@ def preset_config(name: str, **overrides) -> ModelConfig:
 
 
 class DualViT(Module):
-    def __init__(self, config: ModelConfig, variant: str = "D", dtype=None):
+    def __init__(self, config: ModelConfig, variant: str = "D"):
         config.validate()
         self.config = config
         self.variant = variant
-        dt = dtype or T.DEFAULT_DTYPE
         rng = np.random.default_rng(config.seed)
 
         self.patch_embeds: list[PatchEmbed] = []
@@ -178,31 +177,29 @@ class DualViT(Module):
         self.stage_blocks: list[list[Module]] = []
         in_ch = 3
         for i, spec in enumerate(config.stages):
-            self.patch_embeds.append(PatchEmbed(in_ch, spec.patch_size, spec.channels, rng, dt))
+            self.patch_embeds.append(PatchEmbed(in_ch, spec.patch_size, spec.channels, rng))
             if i == 0:
-                self.z0 = Tensor(trunc_normal(rng, (1, config.m, spec.channels), dtype=dt),
+                self.z0 = Tensor(trunc_normal(rng, (1, config.m, spec.channels)),
                                  requires_grad=True)
                 if config.pos_embed:
                     self.pos_embed = Tensor(trunc_normal(
-                        rng, (1, config.token_counts()[0], spec.channels), dtype=dt),
-                        requires_grad=True)
+                        rng, (1, config.token_counts()[0], spec.channels)), requires_grad=True)
             else:
-                self.transitions.append(SemanticTransition(in_ch, spec.channels, rng, dt))
+                self.transitions.append(SemanticTransition(in_ch, spec.channels, rng))
             blocks: list[Module] = []
             for _ in range(spec.depth):
                 if spec.kind == "dual":
                     blocks.append(DualBlock(spec.channels, spec.heads,
                                             spec.ffn_ratio_pixel, spec.ffn_ratio_semantic,
-                                            rng, dt, variant=variant))
+                                            rng, variant=variant))
                 else:
                     blocks.append(MergeBlock(spec.channels, spec.heads,
                                              spec.ffn_ratio_pixel, spec.ffn_ratio_semantic,
-                                             rng, dt))
+                                             rng))
             self.stage_blocks.append(blocks)
             in_ch = spec.channels
-        self.head_norm = LayerNorm(in_ch, dt)
-        self.head = Linear(in_ch, config.num_classes, rng, dt)
-        self._dtype = dt
+        self.head_norm = LayerNorm(in_ch)
+        self.head = Linear(in_ch, config.num_classes, rng)
 
     def named_parameters(self, prefix: str = ""):
         # explicit ordering: stable paths for checkpoints and cost breakdowns
@@ -221,7 +218,7 @@ class DualViT(Module):
 
     def features(self, images) -> tuple[FeatureMap, SemanticTokens]:
         """Run the stage pipeline, returning final pixel and semantic tokens."""
-        x = images if isinstance(images, Tensor) else Tensor(images, dtype=self._dtype)
+        x = images if isinstance(images, Tensor) else Tensor(images, dtype=self.z0.data.dtype)
         if x.data.ndim != 4 or x.shape[-1] != 3:
             raise InputError(f"expected images of shape (B, H, W, 3), got {x.shape}")
         b, h, w, _ = x.shape
@@ -256,5 +253,5 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
     return T.add(t, zeros)
 
 
-def build_model(config: ModelConfig, variant: str = "D", dtype=None) -> DualViT:
-    return DualViT(config, variant=variant, dtype=dtype)
+def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
+    return DualViT(config, variant=variant)

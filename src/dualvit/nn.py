@@ -17,14 +17,13 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 
-def trunc_normal(rng: np.random.Generator, shape, dtype=None):
-    """Normal(0, 0.02) samples rejected outside ±2 std. Deterministic under rng."""
-    dt = dtype or T.DEFAULT_DTYPE
-    out = rng.standard_normal(shape, dtype=dt)
+def trunc_normal(rng: np.random.Generator, shape):
+    """Normal(0, 0.02) float32 samples rejected outside ±2 std. Deterministic under rng."""
+    out = rng.standard_normal(shape, dtype=T.DEFAULT_DTYPE)
     flat = out.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > 2.0)
     while idx.size:
-        redraw = rng.standard_normal(idx.size, dtype=dt)
+        redraw = rng.standard_normal(idx.size, dtype=T.DEFAULT_DTYPE)
         flat[idx] = redraw
         idx = idx[np.abs(redraw) > 2.0]
     out *= 0.02
@@ -56,20 +55,27 @@ class Module:
     def num_params(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
+    def astype(self, dtype) -> "Module":
+        """Cast every parameter to ``dtype`` in place, dropping its grad."""
+        for p in self.parameters():
+            p.data = p.data.astype(dtype)
+            p.zero_grad()
+        return self
+
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, dtype=None):
-        self.weight = Tensor(trunc_normal(rng, (d_in, d_out), dtype=dtype), requires_grad=True)
-        self.bias = Tensor(np.zeros(d_out, dtype=dtype or T.DEFAULT_DTYPE), requires_grad=True)
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
+        self.weight = Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=True)
+        self.bias = Tensor(np.zeros(d_out, dtype=T.DEFAULT_DTYPE), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.weight), self.bias)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=None):
-        self.gamma = Tensor(np.ones(dim, dtype=dtype or T.DEFAULT_DTYPE), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype or T.DEFAULT_DTYPE), requires_grad=True)
+    def __init__(self, dim: int):
+        self.gamma = Tensor(np.ones(dim, dtype=T.DEFAULT_DTYPE), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, dtype=T.DEFAULT_DTYPE), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.layernorm(x, self.gamma, self.beta)
@@ -78,16 +84,16 @@ class LayerNorm(Module):
 class MultiHeadAttention(Module):
     """MHA(q, k, v) = Concat(head_1..head_h) W_O with scaled dot-product heads."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=None):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
             raise ConfigError(f"channel dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
         self.head_dim = dim // heads
-        self.q_proj = Linear(dim, dim, rng, dtype)
-        self.k_proj = Linear(dim, dim, rng, dtype)
-        self.v_proj = Linear(dim, dim, rng, dtype)
-        self.o_proj = Linear(dim, dim, rng, dtype)
+        self.q_proj = Linear(dim, dim, rng)
+        self.k_proj = Linear(dim, dim, rng)
+        self.v_proj = Linear(dim, dim, rng)
+        self.o_proj = Linear(dim, dim, rng)
 
     def _split_heads(self, x: Tensor) -> Tensor:
         b, n, _ = x.shape
@@ -112,11 +118,11 @@ class MultiHeadAttention(Module):
 class FeedForward(Module):
     """Token-wise expand -> GELU -> contract. No token mixing."""
 
-    def __init__(self, dim: int, ratio: int, rng: np.random.Generator, dtype=None):
+    def __init__(self, dim: int, ratio: int, rng: np.random.Generator):
         self.dim = dim
         self.ratio = ratio
-        self.expand = Linear(dim, ratio * dim, rng, dtype)
-        self.contract = Linear(ratio * dim, dim, rng, dtype)
+        self.expand = Linear(dim, ratio * dim, rng)
+        self.contract = Linear(ratio * dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.contract(T.gelu(self.expand(x)))

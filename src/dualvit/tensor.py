@@ -35,14 +35,10 @@ from .errors import ContractError, DimensionError
 
 DEFAULT_DTYPE = np.float32
 
-_debug_checks = bool(int(os.environ.get("DUALVIT_DEBUG", "0")))
+# DUALVIT_DEBUG turns on the NaN/Inf sentinel that runs after every forward
+# op: unset, empty or "0" means off, any other value means on.
+_debug_checks = os.environ.get("DUALVIT_DEBUG", "0") not in ("", "0")
 _grad_enabled = True
-
-
-def set_debug(enabled: bool) -> None:
-    """Toggle the NaN/Inf sentinel that runs after every forward op."""
-    global _debug_checks
-    _debug_checks = enabled
 
 
 class Tensor:

@@ -12,7 +12,7 @@ import numpy as np
 from dualvit import complexity
 from dualvit import tensor as T
 from dualvit.blocks import DualBlock, FeatureMap, MergeBlock, SemanticTokens
-from dualvit.data import (load_checkpoint_into, load_packed_dataset,
+from dualvit.data import (load_checkpoint, load_packed_dataset,
                           make_synthetic, save_checkpoint, save_packed_dataset)
 from dualvit.model import build_model, preset_config
 from dualvit.tensor import Tensor
@@ -152,12 +152,12 @@ def test_criterion_block_equivalences():
     # a merge block with its two output FFNs tied equals one joint-attention
     # transformer block applied to the concatenated token sequence
     from dualvit.blocks import TransformerBlock
-    merge = MergeBlock(8, 2, 4, 4, np.random.default_rng(1), np.float64)
+    merge = MergeBlock(8, 2, 4, 4, np.random.default_rng(1)).astype(np.float64)
     _randomize(merge, rng)
     for src, dst in [(merge.ffn_x, merge.ffn_z), (merge.norm_x, merge.norm_z)]:
         for (_, ps), (_, pd) in zip(src.named_parameters(), dst.named_parameters()):
             pd.data[...] = ps.data
-    tb = TransformerBlock(8, 2, 4, np.random.default_rng(2), np.float64)
+    tb = TransformerBlock(8, 2, 4, np.random.default_rng(2)).astype(np.float64)
     pairs = [(merge.norm_joint, tb.norm_attn), (merge.attn, tb.attn),
              (merge.norm_x, tb.norm_ffn), (merge.ffn_x, tb.ffn)]
     for src, dst in pairs:
@@ -172,7 +172,7 @@ def test_criterion_block_equivalences():
 
     # 32-bit dual block: permuting pixel tokens permutes the pixel output and
     # leaves the semantic output unchanged
-    blk = DualBlock(16, 2, 4, 2, np.random.default_rng(3), np.float32)
+    blk = DualBlock(16, 2, 4, 2, np.random.default_rng(3))
     x32 = rng.standard_normal((1, 12, 16)).astype(np.float32)
     z32 = rng.standard_normal((1, 4, 16)).astype(np.float32)
     perm = rng.permutation(12)
@@ -231,8 +231,7 @@ def test_criterion_serialization(tmp_path):
     before = model(img).data.copy()
     ck_path = tmp_path / "toy.dvcp"
     save_checkpoint(model, str(ck_path))
-    fresh = build_model(cfg)
-    load_checkpoint_into(fresh, str(ck_path))
+    fresh = load_checkpoint(str(ck_path))
     ck_exact = all(np.array_equal(p.data, q.data)
                    for (_, p), (_, q) in zip(model.named_parameters(),
                                              fresh.named_parameters()))

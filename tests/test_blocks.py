@@ -29,7 +29,7 @@ def _st(rng, m, d, dtype=np.float64):
 
 class TestTransformerBlock:
     def test_zero_weights_is_identity(self, rng):
-        blk = TransformerBlock(8, 2, 4, rng, np.float64)
+        blk = TransformerBlock(8, 2, 4, rng).astype(np.float64)
         _zero_weights(blk)
         x = rng.standard_normal((1, 6, 8))
         np.testing.assert_array_equal(blk(Tensor(x)).data, x)
@@ -37,7 +37,7 @@ class TestTransformerBlock:
     def test_single_token_is_tokenwise(self, rng):
         # with one token the attention weight is 1, so the block is the same
         # affine map for any single-token input
-        blk = TransformerBlock(4, 2, 2, rng, np.float64)
+        blk = TransformerBlock(4, 2, 2, rng).astype(np.float64)
         _randomize(blk, rng)
         x = rng.standard_normal((1, 1, 4))
         out = blk(Tensor(x)).data
@@ -49,7 +49,7 @@ class TestTransformerBlock:
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_matches_manual_composition(self, rng):
-        blk = TransformerBlock(8, 2, 4, rng, np.float64)
+        blk = TransformerBlock(8, 2, 4, rng).astype(np.float64)
         _randomize(blk, rng)
         x = rng.standard_normal((1, 4, 8))
         xn = blk.norm_attn(Tensor(x))
@@ -61,7 +61,7 @@ class TestTransformerBlock:
 class TestDualBlock:
     def test_stage1_small_shapes_roundtrip(self, rng):
         # geometry of the published stage-1 config: 56x56 pixel tokens, dim 64
-        blk = DualBlock(64, 2, 8, 4, rng, np.float32)
+        blk = DualBlock(64, 2, 8, 4, rng)
         x = _fm(rng, 3136, 64, 56, 56, dtype=np.float32)
         z = _st(rng, 16, 64, dtype=np.float32)
         x_out, z_out = blk(x, z)
@@ -69,7 +69,7 @@ class TestDualBlock:
         assert z_out.tokens.shape == (1, 16, 64)
 
     def test_single_semantic_token_gives_identical_update(self, rng):
-        blk = DualBlock(8, 2, 2, 2, rng, np.float64)
+        blk = DualBlock(8, 2, 2, 2, rng).astype(np.float64)
         _randomize(blk, rng)
         x = _fm(rng, 9, 8, 3, 3)
         z = _st(rng, 1, 8)
@@ -82,7 +82,7 @@ class TestDualBlock:
                                    atol=1e-10)
 
     def test_pixel_permutation_behavior(self, rng):
-        blk = DualBlock(8, 2, 2, 2, rng, np.float64)
+        blk = DualBlock(8, 2, 2, 2, rng).astype(np.float64)
         _randomize(blk, rng)
         x_data = rng.standard_normal((1, 12, 8))
         z_data = rng.standard_normal((1, 3, 8))
@@ -96,7 +96,7 @@ class TestDualBlock:
                                    atol=1e-10)
 
     def test_zero_weights_is_identity(self, rng):
-        blk = DualBlock(8, 2, 2, 2, rng, np.float64)
+        blk = DualBlock(8, 2, 2, 2, rng).astype(np.float64)
         _zero_weights(blk)
         x = rng.standard_normal((1, 4, 8))
         z = rng.standard_normal((1, 2, 8))
@@ -110,7 +110,7 @@ class TestDualBlock:
             blk(_fm(rng, 4, 8), _st(rng, 2, 6))
 
     def test_gradients_reach_both_pathways(self, rng):
-        blk = DualBlock(8, 2, 2, 2, rng, np.float64)
+        blk = DualBlock(8, 2, 2, 2, rng).astype(np.float64)
         _randomize(blk, rng)
         x_out, z_out = blk(_fm(rng, 4, 8), _st(rng, 2, 8))
         loss = T.add(T.sum_all(T.mul(x_out.tokens,
@@ -123,9 +123,9 @@ class TestDualBlock:
 
     @pytest.mark.parametrize("variant", ["A", "B", "C"])
     def test_variants_run_and_shed_params(self, rng, variant):
-        full = DualBlock(8, 2, 2, 2, np.random.default_rng(0), np.float64)
-        blk = DualBlock(8, 2, 2, 2, np.random.default_rng(0), np.float64,
-                        variant=variant)
+        full = DualBlock(8, 2, 2, 2, np.random.default_rng(0)).astype(np.float64)
+        blk = DualBlock(8, 2, 2, 2, np.random.default_rng(0),
+                        variant=variant).astype(np.float64)
         x_out, z_out = blk(_fm(rng, 4, 8), _st(rng, 2, 8))
         assert x_out.tokens.shape == (1, 4, 8)
         if variant in ("A", "B"):
@@ -135,7 +135,7 @@ class TestDualBlock:
 
     @pytest.mark.parametrize("variant", ["A", "B", "C", "D"])
     def test_semantic_pathway_matches_hand_composition(self, rng, variant):
-        blk = DualBlock(8, 2, 2, 2, rng, np.float64, variant=variant)
+        blk = DualBlock(8, 2, 2, 2, rng, variant=variant).astype(np.float64)
         _randomize(blk, rng)
         x = _fm(rng, 6, 8, 2, 3).tokens
         z = _st(rng, 3, 8).tokens
@@ -172,20 +172,20 @@ class TestDualBlock:
 
 class TestMergeBlock:
     def test_token_counts_preserved(self, rng):
-        blk = MergeBlock(16, 4, 4, 2, rng, np.float32)
+        blk = MergeBlock(16, 4, 4, 2, rng)
         x_out, z_out = blk(_fm(rng, 196, 16, 14, 14, dtype=np.float32),
                            _st(rng, 16, 16, dtype=np.float32))
         assert x_out.tokens.shape[-2] == 196
         assert z_out.tokens.shape[-2] == 16
 
     def test_tied_ffns_equal_transformer_on_concat(self, rng):
-        merge = MergeBlock(8, 2, 4, 4, rng, np.float64)
+        merge = MergeBlock(8, 2, 4, 4, rng).astype(np.float64)
         _randomize(merge, rng)
         # tie the two per-pathway FFNs and norms
         for src, dst in [(merge.ffn_x, merge.ffn_z), (merge.norm_x, merge.norm_z)]:
             for (_, ps), (_, pd) in zip(src.named_parameters(), dst.named_parameters()):
                 pd.data[...] = ps.data
-        tb = TransformerBlock(8, 2, 4, np.random.default_rng(0), np.float64)
+        tb = TransformerBlock(8, 2, 4, np.random.default_rng(0)).astype(np.float64)
         for (_, ps), (_, pd) in zip(merge.norm_joint.named_parameters(),
                                     tb.norm_attn.named_parameters()):
             pd.data[...] = ps.data
@@ -207,7 +207,7 @@ class TestMergeBlock:
             joint_out, atol=1e-6)
 
     def test_matches_manual_composition(self, rng):
-        blk = MergeBlock(8, 2, 2, 2, rng, np.float64)
+        blk = MergeBlock(8, 2, 2, 2, rng).astype(np.float64)
         _randomize(blk, rng)
         x = rng.standard_normal((1, 4, 8))
         z = rng.standard_normal((1, 2, 8))
@@ -222,12 +222,12 @@ class TestMergeBlock:
         np.testing.assert_allclose(z_out.tokens.data, ez, atol=1e-6)
 
     def test_pathway_channel_mismatch_is_dimension_error(self, rng):
-        blk = MergeBlock(8, 2, 2, 2, rng, np.float64)
+        blk = MergeBlock(8, 2, 2, 2, rng).astype(np.float64)
         with pytest.raises(DimensionError):
             blk(_fm(rng, 4, 8), _st(rng, 2, 6))
 
     def test_zero_weights_is_identity(self, rng):
-        blk = MergeBlock(8, 2, 2, 2, rng, np.float64)
+        blk = MergeBlock(8, 2, 2, 2, rng).astype(np.float64)
         _zero_weights(blk)
         x = rng.standard_normal((1, 4, 8))
         z = rng.standard_normal((1, 2, 8))
@@ -238,14 +238,14 @@ class TestMergeBlock:
 
 class TestPatchEmbed:
     def test_patch_one_is_tokenwise_projection(self, rng):
-        pe = PatchEmbed(3, 1, 8, rng, np.float64)
+        pe = PatchEmbed(3, 1, 8, rng).astype(np.float64)
         x = rng.standard_normal((1, 16, 3))
         out = pe(FeatureMap(Tensor(x), 4, 4))
         expected = pe.norm(pe.proj(Tensor(x))).data
         np.testing.assert_allclose(out.tokens.data, expected, atol=1e-12)
 
     def test_stage1_geometry(self, rng):
-        pe = PatchEmbed(3, 4, 64, rng, np.float32)
+        pe = PatchEmbed(3, 4, 64, rng)
         x = Tensor(rng.standard_normal((1, 224 * 224, 3)), dtype=np.float32)
         out = pe(FeatureMap(x, 224, 224))
         assert (out.height, out.width) == (56, 56)
@@ -256,7 +256,7 @@ class TestPatchEmbed:
         # 12-vector, so with an identity-like projection (first 12 rows of the
         # weight = I, LN made affine-neutral by wide gamma... instead check
         # the pre-LN projection against a hand-computed patch gather)
-        pe = PatchEmbed(3, 2, 12, rng, np.float64)
+        pe = PatchEmbed(3, 2, 12, rng).astype(np.float64)
         pe.proj.weight.data[...] = np.eye(12)
         pe.proj.bias.data[...] = 0.0
         board = np.indices((8, 8)).sum(axis=0) % 2
@@ -281,7 +281,7 @@ class TestPatchEmbed:
 
 class TestSemanticTransition:
     def test_identity_weights_standardize(self, rng):
-        tr = SemanticTransition(8, 8, rng, np.float64)
+        tr = SemanticTransition(8, 8, rng).astype(np.float64)
         tr.proj.weight.data[...] = np.eye(8)
         tr.proj.bias.data[...] = 0.0
         z = rng.standard_normal((1, 4, 8))
@@ -291,7 +291,7 @@ class TestSemanticTransition:
         np.testing.assert_allclose(out, (z - mu) / np.sqrt(sd**2 + 1e-6), atol=1e-6)
 
     def test_count_preserved_and_width_changed(self, rng):
-        tr = SemanticTransition(64, 128, rng, np.float32)
+        tr = SemanticTransition(64, 128, rng)
         out = tr(SemanticTokens(Tensor(np.random.default_rng(0)
                                        .standard_normal((1, 16, 64)),
                                        dtype=np.float32)))

@@ -157,21 +157,50 @@ def test_train_abort_keeps_initial_parameters(tmp_path, capsys):
         np.testing.assert_array_equal(saved[name].data, p.data, err_msg=name)
 
 
+def _python(*argv, **env_vars) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this ``dualvit``, with ``env_vars``
+    set and DUALVIT_DEBUG and the BLAS thread variables otherwise unset."""
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "DUALVIT_DEBUG")}
+    src = os.path.dirname(os.path.dirname(dualvit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], env={**env, **env_vars},
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
 def test_dualvit_threads_pins_blas():
     """Importing the CLI pins BLAS before numpy loads, so a GEMM runs on one thread."""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-    src = os.path.dirname(os.path.dirname(dualvit.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env["DUALVIT_THREADS"] = "1"
     probe = ("import os, dualvit.cli, numpy as np\n"
              "a = np.ones((1024, 1024), np.float32)\n"
              "a @ a\n"
              "print(len(os.listdir('/proc/self/task')))\n")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = _python("-c", probe, DUALVIT_THREADS="1")
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("value, on", [(None, False), ("", False), ("0", False),
+                                       ("1", True), ("yes", True)])
+def test_debug_switch_is_off_only_when_unset_empty_or_0(value, on):
+    env = {} if value is None else {"DUALVIT_DEBUG": value}
+    done = _python("-c", "import dualvit.tensor as T; print(T._debug_checks)", **env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(on)
+
+
+def test_debug_switch_of_any_value_runs_the_cli():
+    done = _python("-m", "dualvit.cli", "describe", "--preset", "tiny", DUALVIT_DEBUG="yes")
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    assert "semantic tokens m=4" in done.stdout
+
+
+def test_debug_sentinel_stop_is_an_error_line(tmp_path):
+    done = _python("-m", "dualvit.cli", "train", "--preset", "tiny", "--steps", "3",
+                   "--lr", "1e10", "--per-class", "2", "--out", str(tmp_path / "run"),
+                   DUALVIT_DEBUG="1")
+    assert done.returncode == 1
+    assert "error: non-finite value" in done.stderr and "Traceback" not in done.stderr
 
 
 def test_config_file_load_and_rejection(tmp_path, capsys):
@@ -248,8 +277,8 @@ def test_config_file_field_checks(tmp_path, capsys, edit, fragment):
 
 
 def _dvcp(manifest: bytes, payload: bytes = b"") -> bytes:
-    return (b"DVCP" + struct.pack("<II", 1, len(manifest)) + manifest + payload
-            + struct.pack("<I", zlib.crc32(payload)))
+    body = b"DVCP" + struct.pack("<II", 2, len(manifest)) + manifest + payload
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _manifest_with(**changes) -> bytes:
@@ -281,7 +310,7 @@ def _beta_named_gamma(items):
 @pytest.mark.parametrize("blob", [
     b"DVCP\x01\x00",
     _dvcp(b"{}")[:14],
-    b"DVCP" + struct.pack("<II", 1, 1000) + b"{}",
+    b"DVCP" + struct.pack("<II", 2, 1000) + b"{}",
     _dvcp(b"\xff\xfe{}"),
     _dvcp(b"{not json"),
     _dvcp(b"[1, 2]"),
@@ -309,6 +338,20 @@ def test_malformed_checkpoint_is_usage_error(tmp_path, capsys, blob):
     code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_version_1_checkpoint_is_usage_error_naming_the_version(tmp_path, capsys):
+    """A DVCP v1 file (its CRC covers the payload only) is not read."""
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(build_model(preset_config("tiny")), str(path))
+    blob = path.read_bytes()
+    (manifest_len,) = struct.unpack_from("<I", blob, 8)
+    payload = blob[12 + manifest_len:-4]
+    path.write_bytes(b"DVCP" + struct.pack("<I", 1) + blob[8:-4]
+                     + struct.pack("<I", zlib.crc32(payload)))
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "version 1" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dualvit.data import (Dataset, class_means, load_checkpoint,
-                          load_checkpoint_into, load_packed_dataset,
-                          make_synthetic, save_checkpoint,
-                          save_packed_dataset)
-from dualvit.errors import ConfigError, FormatError
+from dualvit.data import (Dataset, class_means, load_checkpoint, load_packed_dataset,
+                          make_synthetic, save_checkpoint, save_packed_dataset)
+from dualvit.errors import FormatError
 from dualvit.model import build_model, preset_config
 from dualvit.training import _randomize
 
@@ -108,19 +106,22 @@ def dvds_file(tmp_path_factory):
     return path, path.read_bytes()
 
 
+def _truncate_or_flip(blob: bytes, data) -> bytes:
+    """``blob`` cut short, or with one byte XORed by a nonzero mask."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    flipped = bytearray(blob)
+    flipped[data.draw(st.integers(0, len(blob) - 1), label="offset")] ^= data.draw(
+        st.integers(1, 255), label="mask")
+    return bytes(flipped)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_fuzzed_dvds_raises_format_error_or_loads(dvds_file, data):
     """A truncated or single-byte-flipped file is rejected cleanly or still parses."""
     path, blob = dvds_file
-    if data.draw(st.booleans(), label="truncate"):
-        mutated = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
-    else:
-        flipped = bytearray(blob)
-        flipped[data.draw(st.integers(0, len(blob) - 1), label="offset")] ^= data.draw(
-            st.integers(1, 255), label="mask")
-        mutated = bytes(flipped)
-    path.write_bytes(mutated)
+    path.write_bytes(_truncate_or_flip(blob, data))
     try:
         loaded = load_packed_dataset(str(path))
     except FormatError:
@@ -160,20 +161,8 @@ def test_checkpoint_forward_identical_after_reload(tmp_path):
     before = model(images).data.copy()
     path = tmp_path / "m.dvcp"
     save_checkpoint(model, str(path))
-    fresh = build_model(cfg)
-    load_checkpoint_into(fresh, str(path))
+    fresh = load_checkpoint(str(path))
     np.testing.assert_array_equal(fresh(images).data, before)
-
-
-def test_checkpoint_rejects_mismatched_model(tmp_path):
-    path = tmp_path / "m.dvcp"
-    save_checkpoint(build_model(preset_config("tiny")), str(path))
-    other = build_model(preset_config("tiny", m=8))
-    with pytest.raises(ConfigError):
-        load_checkpoint_into(other, str(path))
-    wrong_variant = build_model(preset_config("tiny"), variant="A")
-    with pytest.raises(ConfigError):
-        load_checkpoint_into(wrong_variant, str(path))
 
 
 def test_checkpoint_detects_corruption(tmp_path):
@@ -184,3 +173,42 @@ def test_checkpoint_detects_corruption(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="checksum"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_detects_a_changed_head_count(tmp_path):
+    """The checksum covers the manifest: stage 1's heads 2 -> 4 still parses
+    and fits every parameter shape, but must not load."""
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(build_model(preset_config("tiny")), str(path))
+    blob = path.read_bytes()
+    assert b'"heads": 2' in blob
+    path.write_bytes(blob.replace(b'"heads": 2', b'"heads": 4', 1))
+    with pytest.raises(FormatError, match="checksum"):
+        load_checkpoint(str(path))
+
+
+@pytest.fixture(scope="module")
+def dvcp_file(tmp_path_factory):
+    model = build_model(preset_config("tiny"))
+    _randomize(model, np.random.default_rng(6), scale=0.05)
+    path = tmp_path_factory.mktemp("fuzz") / "m.dvcp"
+    save_checkpoint(model, str(path))
+    return path, path.read_bytes(), model
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzzed_dvcp_raises_format_error_or_loads_the_saved_model(dvcp_file, data):
+    """A truncated or single-byte-flipped checkpoint is rejected cleanly, or
+    loads exactly the saved config, variant and parameters."""
+    path, blob, saved = dvcp_file
+    path.write_bytes(_truncate_or_flip(blob, data))
+    try:
+        loaded = load_checkpoint(str(path))
+    except FormatError:
+        return
+    assert (loaded.config, loaded.variant) == (saved.config, saved.variant)
+    got, want = list(loaded.named_parameters()), list(saved.named_parameters())
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, p), (_, q) in zip(got, want):
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)

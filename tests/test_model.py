@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dualvit import tensor as T
 from dualvit.errors import ConfigError, FormatError, InputError
 from dualvit.model import ModelConfig, StageSpec, build_model, preset_config
-from dualvit.tensor import Tensor
 
 # published per-stage architecture table: depth, heads, channels, E^x, E^z, patch
 ARCH_TABLE = {
@@ -89,9 +88,8 @@ def test_logits_finite_at_reduced_resolution(name, rng):
     assert np.all(np.isfinite(logits))
     assert logits.shape == (1, cfg.num_classes)
     # the same weights and images in float64 agree with the float32 forward
-    for p in model.parameters():
-        p.data, p.requires_grad = p.data.astype(np.float64), False
-    logits64 = model(Tensor(images, dtype=np.float64)).data
+    with T.no_grad():
+        logits64 = model.astype(np.float64)(images).data
     assert np.abs(logits - logits64).max() <= 1e-4 * max(1.0, np.abs(logits64).max())
 
 
@@ -139,7 +137,7 @@ def test_pos_embed_flag_removes_parameter():
 def test_model_permutation_properties_without_pos_embed(rng):
     """Semantic invariance / pixel equivariance also holds through a full
     dual stage when the positional embedding is disabled."""
-    model = build_model(preset_config("tiny", pos_embed=False), dtype=np.float64)
+    model = build_model(preset_config("tiny", pos_embed=False)).astype(np.float64)
     images = rng.random((1, 32, 32, 3))
     fm = model.patch_embeds[0](_image_featuremap(model, images))
     from dualvit.blocks import FeatureMap, SemanticTokens
@@ -160,7 +158,7 @@ def _image_featuremap(model, images):
     from dualvit.blocks import FeatureMap
     from dualvit import tensor as T
     from dualvit.tensor import Tensor
-    x = Tensor(images, dtype=model._dtype)
+    x = Tensor(images, dtype=model.z0.data.dtype)
     b, h, w, _ = x.shape
     return FeatureMap(T.reshape(x, (b, h * w, 3)), h, w)
 
@@ -212,3 +210,20 @@ def test_no_grad_forward_gives_the_same_logits_without_a_graph():
     assert not quiet.requires_grad and quiet._parents == ()
     assert quiet.data.dtype == recorded.data.dtype
     assert quiet.data.tobytes() == recorded.data.tobytes()
+
+
+def test_float64_cast_holds_the_float32_weights_and_no_grads():
+    cfg = preset_config("tiny", seed=5)
+    images = np.random.default_rng(5).random((2, cfg.resolution, cfg.resolution, 3))
+    model = build_model(cfg)
+    T.cross_entropy_with_logits(model(images), np.array([0, 1])).backward()
+    assert all(p.grad is not None for p in model.parameters())
+    assert model.astype(np.float64) is model
+    want = list(build_model(cfg).named_parameters())
+    got = list(model.named_parameters())
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, p), (_, q) in zip(got, want):
+        assert p.data.dtype == np.float64 and p.grad is None, name
+        np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+    # numpy images follow the parameters' float type
+    assert model(images.astype(np.float32)).data.dtype == np.float64

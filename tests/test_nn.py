@@ -43,7 +43,7 @@ def _randomize(module, rng, scale=0.3):
 
 class TestMha:
     def test_single_token_weight_is_one(self, rng):
-        mha = MultiHeadAttention(4, 2, rng, np.float64)
+        mha = MultiHeadAttention(4, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         x = rng.standard_normal((1, 1, 4))
         out = mha(Tensor(x), Tensor(x), Tensor(x)).data
@@ -52,7 +52,7 @@ class TestMha:
         np.testing.assert_allclose(out[0], expected, rtol=1e-9)
 
     def test_identical_keys_give_uniform_weights(self, rng):
-        mha = MultiHeadAttention(6, 3, rng, np.float64)
+        mha = MultiHeadAttention(6, 3, rng).astype(np.float64)
         _randomize(mha, rng)
         q = Tensor(rng.standard_normal((1, 2, 6)))
         key_row = rng.standard_normal(6)
@@ -66,7 +66,7 @@ class TestMha:
         np.testing.assert_allclose(out[0, 0], expected, rtol=1e-6)
 
     def test_cross_attention_matches_dense_oracle(self, rng):
-        mha = MultiHeadAttention(4, 2, rng, np.float64)
+        mha = MultiHeadAttention(4, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         q = rng.standard_normal((1, 2, 4))
         kv = rng.standard_normal((1, 3, 4))
@@ -75,7 +75,7 @@ class TestMha:
                                    atol=1e-6)
 
     def test_self_attention_matches_dense_oracle(self, rng):
-        mha = MultiHeadAttention(8, 2, rng, np.float64)
+        mha = MultiHeadAttention(8, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         x = rng.standard_normal((2, 5, 8))
         out = mha(Tensor(x), Tensor(x), Tensor(x)).data
@@ -96,7 +96,7 @@ class TestMha:
                 Tensor(np.zeros((1, 3, 4))))
 
     def test_weights_are_convex_combinations(self, rng):
-        mha = MultiHeadAttention(8, 4, rng, np.float64)
+        mha = MultiHeadAttention(8, 4, rng).astype(np.float64)
         _randomize(mha, rng)
         q = Tensor(rng.standard_normal((2, 3, 8)))
         k = Tensor(rng.standard_normal((2, 6, 8)))
@@ -105,7 +105,7 @@ class TestMha:
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_query_permutation_equivariance(self, rng):
-        mha = MultiHeadAttention(4, 2, rng, np.float64)
+        mha = MultiHeadAttention(4, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         q = rng.standard_normal((1, 5, 4))
         kv = Tensor(rng.standard_normal((1, 3, 4)))
@@ -115,7 +115,7 @@ class TestMha:
         np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-10)
 
     def test_kv_permutation_invariance(self, rng):
-        mha = MultiHeadAttention(4, 2, rng, np.float64)
+        mha = MultiHeadAttention(4, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         q = Tensor(rng.standard_normal((1, 2, 4)))
         kv = rng.standard_normal((1, 6, 4))
@@ -125,7 +125,7 @@ class TestMha:
         np.testing.assert_allclose(out_perm, out, atol=1e-10)
 
     def test_gradients_match_finite_differences(self, rng):
-        mha = MultiHeadAttention(4, 2, rng, np.float64)
+        mha = MultiHeadAttention(4, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         x = rng.standard_normal((1, 3, 4))
         probe = rng.standard_normal((1, 3, 4)) / 100.0
@@ -143,7 +143,7 @@ class TestMha:
 
 class TestFfn:
     def test_zero_weights_map_to_contract_bias(self, rng):
-        ffn = FeedForward(4, 2, rng, np.float64)
+        ffn = FeedForward(4, 2, rng).astype(np.float64)
         for _, p in ffn.named_parameters():
             p.data[...] = 0.0
         ffn.contract.bias.data[...] = np.arange(4.0)
@@ -151,7 +151,7 @@ class TestFfn:
         np.testing.assert_allclose(out, np.tile(np.arange(4.0), (1, 5, 1)), atol=1e-12)
 
     def test_token_permutation_commutes(self, rng):
-        ffn = FeedForward(6, 2, rng, np.float64)
+        ffn = FeedForward(6, 2, rng).astype(np.float64)
         _randomize(ffn, rng)
         x = rng.standard_normal((1, 7, 6))
         perm = rng.permutation(7)
@@ -159,7 +159,7 @@ class TestFfn:
                                    ffn(Tensor(x)).data[:, perm], atol=1e-12)
 
     def test_scalar_loop_oracle(self, rng):
-        ffn = FeedForward(4, 2, rng, np.float64)
+        ffn = FeedForward(4, 2, rng).astype(np.float64)
         _randomize(ffn, rng)
         x = rng.standard_normal((1, 2, 4))
         out = ffn(Tensor(x)).data
@@ -183,7 +183,7 @@ class TestFfn:
         np.testing.assert_allclose(out, expected, atol=1e-6)
 
     def test_gradients_match_finite_differences(self, rng):
-        ffn = FeedForward(4, 2, rng, np.float64)
+        ffn = FeedForward(4, 2, rng).astype(np.float64)
         _randomize(ffn, rng)
         x = rng.standard_normal((1, 3, 4))
         probe = rng.standard_normal((1, 3, 4)) / 100.0
@@ -209,7 +209,7 @@ class TestInit:
         assert not lin.bias.data.any()
 
     def test_truncated_normal_statistics(self):
-        draws = trunc_normal(np.random.default_rng(3), (100_000,), dtype=np.float64)
+        draws = trunc_normal(np.random.default_rng(3), (100_000,))
         assert np.abs(draws).max() <= 0.04 + 1e-12
         assert 0.017 <= draws.std() <= 0.021
 

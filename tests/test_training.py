@@ -68,6 +68,19 @@ def test_full_model_gradients_match_finite_differences():
     assert report.passed, report.failures
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_model_gradcheck_checks_the_float64_cast_of_the_float32_model(monkeypatch, seed):
+    checked = []
+    monkeypatch.setattr(training, "gradcheck", lambda loss_fn, named_params, *args, **kw:
+                        checked.extend((name, p.data) for name, p in named_params))
+    gradcheck_block("model", seed=seed)
+    want = build_model(preset_config("tiny", seed=seed)).astype(np.float64)
+    assert [name for name, _ in checked] == [name for name, _ in want.named_parameters()]
+    for (name, data), (_, p) in zip(checked, want.named_parameters()):
+        assert data.dtype == np.float64, name
+        assert data.tobytes() == p.data.tobytes(), name
+
+
 def test_gradcheck_catches_wrong_gradient():
     p = Tensor(np.array([0.7, -0.3]), requires_grad=True)
 
