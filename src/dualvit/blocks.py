@@ -85,7 +85,7 @@ class TransformerBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         xn = self.norm_attn(x)
-        x = T.add(self.attn(xn, xn, xn), x)
+        x = T.add(self.attn(xn, xn), x)
         return T.add(self.ffn(self.norm_ffn(x)), x)
 
 
@@ -128,8 +128,7 @@ class DualBlock(Module):
             if source is None:
                 update = layer(zn)
             else:
-                kv = xn if source == "x" else zn
-                update = layer(zn, kv, kv)
+                update = layer(zn, xn if source == "x" else zn)
             z = T.add(update, z)
         return z
 
@@ -141,7 +140,7 @@ class DualBlock(Module):
         z_next = self._semantic_pathway(x.tokens, z.tokens)
         xn = self.norm_x_pix(x.tokens)
         zn = self.norm_z_out(z_next)
-        x_mid = T.add(self.pix_cross(xn, zn, zn), x.tokens)
+        x_mid = T.add(self.pix_cross(xn, zn), x.tokens)
         x_next = T.add(self.pix_ffn(self.norm_x_ffn(x_mid)), x_mid)
         return FeatureMap(x_next, x.height, x.width), SemanticTokens(z_next)
 
@@ -158,10 +157,10 @@ class MergeBlock(Module):
 
     def __call__(self, x: FeatureMap, z: SemanticTokens) -> tuple[FeatureMap, SemanticTokens]:
         n, m = x.tokens.shape[-2], z.count
-        joint = T.concat([x.tokens, z.tokens], axis=-2)
+        joint = T.concat([x.tokens, z.tokens])
         yn = self.norm_joint(joint)
-        mixed = T.add(self.attn(yn, yn, yn), joint)
-        x_mid, z_mid = T.split(mixed, [n, m], axis=-2)
+        mixed = T.add(self.attn(yn, yn), joint)
+        x_mid, z_mid = T.split(mixed, [n, m])
         x_next = T.add(self.ffn_x(self.norm_x(x_mid)), x_mid)
         z_next = T.add(self.ffn_z(self.norm_z(z_mid)), z_mid)
         return FeatureMap(x_next, x.height, x.width), SemanticTokens(z_next)

@@ -5,7 +5,9 @@ Set DUALVIT_THREADS to cap BLAS worker threads (the ``dualvit`` package
 applies it on import, before numpy loads; it also makes runs reproducible
 across machines with different core counts). Set DUALVIT_DEBUG (any value
 but empty or ``0``) to stop at the first forward op that makes a NaN or Inf;
-that stop exits 1.
+that stop exits 1. In ``train`` it ends the run as a non-finite loss does:
+both output files are still written, the checkpoint with the last good
+weights.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def cmd_describe(args) -> int:
 def cmd_count(args) -> int:
     cfg = _resolve_config(args)
     model = build_model(cfg, variant=args.variant)
-    report = complexity.count_macs(model, cfg.resolution)
+    report = complexity.count_macs(model)
     if args.json:
         print(report.to_json())
     else:
@@ -145,8 +147,8 @@ def cmd_train(args) -> int:
           f"train accuracy {report.final_accuracy:.4f}")
     print(f"wrote {csv_path} and {ckpt_path}")
     if report.aborted:
-        print("training aborted on non-finite loss; checkpoint holds last good state",
-              file=sys.stderr)
+        print("error: non-finite value in training; run aborted, "
+              "checkpoint holds last good state", file=sys.stderr)
         return CHECK_FAILURE
     return 0
 
@@ -172,7 +174,7 @@ def cmd_ablate(args) -> int:
     rows = []
     for variant in DUAL_VARIANTS:
         model = build_model(cfg, variant=variant)
-        report = complexity.count_macs(model, cfg.resolution)
+        report = complexity.count_macs(model)
         row = {"variant": variant, "params": report.params,
                "gmacs": report.macs / 1e9}
         if args.train_steps:

@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass
 
 from .blocks import SEMANTIC_STEPS
-from .errors import InputError
 from .model import DualViT
 
 
@@ -64,17 +63,6 @@ def ffn_macs(n: int, dim: int, ratio: int) -> int:
     return 2 * n * ratio * dim * dim
 
 
-def transformer_block_attention_macs(n: int, dim: int) -> int:
-    return mha_attention_macs(n, n, dim)
-
-
-def dual_block_attention_macs(n: int, m: int, dim: int) -> int:
-    """Semantic self-attention plus the two cross-attentions."""
-    return (mha_attention_macs(m, m, dim)
-            + mha_attention_macs(m, n, dim)
-            + mha_attention_macs(n, m, dim))
-
-
 def dual_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
                     semantic_ratio: int, variant: str) -> int:
     total = mha_macs(n, m, dim) + ffn_macs(n, dim, pixel_ratio)
@@ -94,15 +82,10 @@ def merge_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
             + ffn_macs(m, dim, semantic_ratio))
 
 
-def count_macs(model: DualViT, resolution: int | None = None) -> CostReport:
-    """Analytic MACs (and params) for one forward pass at ``resolution``."""
+def count_macs(model: DualViT) -> CostReport:
+    """Analytic MACs (and params) for one forward pass at the model's resolution."""
     cfg = model.config
-    res = resolution if resolution is not None else cfg.resolution
-    if res % cfg.total_stride() != 0:
-        raise InputError(
-            f"resolution {res} not divisible by cumulative stride {cfg.total_stride()}"
-        )
-    counts = cfg.token_counts(res)
+    counts = cfg.token_counts()
     entries: list[tuple[str, int, int]] = [("z0", model.z0.data.size, 0)]
     if cfg.pos_embed:
         entries.append(("pos_embed", model.pos_embed.data.size, 0))

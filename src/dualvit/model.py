@@ -91,8 +91,8 @@ class ModelConfig:
     def total_stride(self) -> int:
         return math.prod(s.patch_size for s in self.stages)
 
-    def token_counts(self, resolution: int | None = None) -> list[int]:
-        res = resolution if resolution is not None else self.resolution
+    def token_counts(self) -> list[int]:
+        res = self.resolution
         counts = []
         for s in self.stages:
             res //= s.patch_size
@@ -243,7 +243,7 @@ class DualViT(Module):
 
     def __call__(self, images) -> Tensor:
         fm, z = self.features(images)
-        pooled = T.mean(T.concat([fm.tokens, z.tokens], axis=-2), axis=-2)
+        pooled = T.mean(T.concat([fm.tokens, z.tokens]), axis=-2)
         return self.head(self.head_norm(pooled))
 
 

@@ -1,6 +1,7 @@
 """Parameterized neural primitives: linear, layer norm, multi-head attention, FFN.
 
-Attention is the general q/k/v form: self-attention when q is k is v,
+Attention takes queries and one key/value source, from which both keys and
+values are projected: self-attention when the source is the queries,
 cross-attention otherwise. All four attention projections are square d×d with
 bias; heads are realized by reshaping the d-wide projection into (h, d_h).
 """
@@ -82,7 +83,8 @@ class LayerNorm(Module):
 
 
 class MultiHeadAttention(Module):
-    """MHA(q, k, v) = Concat(head_1..head_h) W_O with scaled dot-product heads."""
+    """MHA(q, kv) = Concat(head_1..head_h) W_O with scaled dot-product heads;
+    keys and values are both projected from ``kv``."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
@@ -99,10 +101,10 @@ class MultiHeadAttention(Module):
         b, n, _ = x.shape
         return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    def __call__(self, q: Tensor, kv: Tensor) -> Tensor:
         b, n_q, _ = q.shape
-        weights = self.attention_weights(q, k)
-        mixed = T.matmul(weights, self._split_heads(self.v_proj(v)))
+        weights = self.attention_weights(q, kv)
+        mixed = T.matmul(weights, self._split_heads(self.v_proj(kv)))
         merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n_q, self.dim))
         return self.o_proj(merged)
 

@@ -12,14 +12,16 @@ per parent, in ``_parents`` order, or ``None`` for a parent it skips (a rule
 may skip an input that does not require grad). Rules never write ``grad``:
 the tape sums each returned gradient down to its parent's shape, undoing
 numpy broadcasting, and adds it into zeros laid out like the parent's data.
+A leaf without a ``grad`` takes that summed buffer as its ``grad``; a leaf
+that has one adds the buffer into it.
 
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
 as nothing reads it.
 
-The token axis is the second-to-last axis throughout (``concat``/``split``
-default to it). All forward results are deterministic functions of their
-inputs.
+The token axis is the second-to-last axis throughout; ``concat`` and
+``split`` always work on it. All forward results are deterministic functions
+of their inputs.
 """
 
 from __future__ import annotations
@@ -72,9 +74,11 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad``, or keep ``g`` itself as the first ``grad``."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -218,8 +222,8 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Per-token standardization over the last axis, then affine."""
+def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-token standardization over the last axis (epsilon 1e-6), then affine."""
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
@@ -229,7 +233,7 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tens
     mean = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-6)
     normed = centered * inv_std
     out = gamma.data * normed + beta.data
 
@@ -286,29 +290,26 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -2) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
     if not tensors:
         raise DimensionError("concat requires at least one tensor")
     try:
-        out = np.concatenate([t.data for t in tensors], axis=axis)
+        out = np.concatenate([t.data for t in tensors], axis=-2)
     except ValueError as exc:
         raise DimensionError(f"concat shapes incompatible: {[t.shape for t in tensors]}") from exc
-    cuts = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    return _make(out, tuple(tensors), lambda g: np.split(g, cuts, axis=axis))
+    cuts = np.cumsum([t.shape[-2] for t in tensors])[:-1]
+    return _make(out, tuple(tensors), lambda g: np.split(g, cuts, axis=-2))
 
 
-def split(a: Tensor, sizes: Sequence[int], axis: int = -2) -> list[Tensor]:
-    ax = axis if axis >= 0 else a.data.ndim + axis
-    if sum(sizes) != a.shape[ax]:
+def split(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
+    if sum(sizes) != a.shape[-2]:
         raise DimensionError(
-            f"split sizes {list(sizes)} do not cover axis extent {a.shape[ax]}"
+            f"split sizes {list(sizes)} do not cover axis extent {a.shape[-2]}"
         )
     pieces: list[Tensor] = []
     offset = 0
     for size in sizes:
-        idx = [slice(None)] * a.data.ndim
-        idx[ax] = slice(offset, offset + size)
-        idx_t = tuple(idx)
+        idx_t = (..., slice(offset, offset + size), slice(None))
         piece_data = a.data[idx_t].copy()
 
         def backward(g: np.ndarray, idx_t=idx_t):

@@ -28,16 +28,14 @@ from .tensor import Tensor
 
 
 class AdamW:
-    def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.05):
+    def __init__(self, params: list[Tensor], weight_decay: float = 0.05):
         self.params = list(params)
-        self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self, lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, lr: float) -> None:
         b1, b2 = 0.9, 0.999
         self.step_count += 1
         t = self.step_count
@@ -229,13 +227,17 @@ def evaluate(model: DualViT, dataset, batch_size: int = 16) -> float:
 def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
               lr: float = 1e-3, weight_decay: float = 0.05,
               seed: int = 0) -> TrainReport:
-    """Cross-entropy training with cosine decay; aborts on non-finite loss.
+    """Cross-entropy training with cosine decay; aborts on a non-finite value.
+
+    A non-finite loss ends the run: the step is recorded, the weights that
+    gave the last finite loss are restored and ``aborted`` is set. The
+    ``DUALVIT_DEBUG`` sentinel stopping a step's forward counts as loss ``nan``.
 
     Deterministic under ``seed``: batch order comes from a seeded permutation
     stream, and all arithmetic is single-threaded numpy.
     """
     t0 = time.perf_counter()
-    opt = AdamW(model.parameters(), lr=lr, weight_decay=weight_decay)
+    opt = AdamW(model.parameters(), weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
     n = len(dataset.labels)
     order = rng.permutation(n)
@@ -249,7 +251,10 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
             cursor = 0
         idx = order[cursor:cursor + batch_size]
         cursor += batch_size
-        loss = T.cross_entropy_with_logits(model(dataset.images[idx]), dataset.labels[idx])
+        try:
+            loss = T.cross_entropy_with_logits(model(dataset.images[idx]), dataset.labels[idx])
+        except FloatingPointError:
+            loss = Tensor(math.nan)
         loss_val = loss.item()
         step_lr = cosine_lr(lr, step, steps)
         history.append((step, loss_val, step_lr))

@@ -18,6 +18,7 @@ from dualvit.model import build_model, preset_config
 from dualvit.tensor import Tensor
 from dualvit.training import gradcheck_block, train_toy
 from tests.test_blocks import _randomize
+from tests.test_complexity import dual_block_attention_macs, joint_attention_macs
 
 ARCHITECTURES = {
     "S": {"depths": [3, 4, 6, 3], "heads": [2, 4, 10, 14],
@@ -85,7 +86,7 @@ def test_criterion_parameter_totals():
 
 def test_criterion_small_model_macs():
     budget = _Budget(5.0)
-    macs = complexity.count_macs(build_model(preset_config("S")), 224).macs
+    macs = complexity.count_macs(build_model(preset_config("S"))).macs
     rel = (macs - 4.8e9) / 4.8e9
     _verdict(abs(rel) <= 0.15, "compute estimate",
              f"S at 224px = {macs / 1e9:.3f} giga-MACs vs 4.8 ({rel:+.1%}, "
@@ -109,8 +110,8 @@ def test_criterion_attention_cost_scaling():
     budget = _Budget(5.0)
     ns = np.array([256, 1024, 4096], dtype=float)
     m, d = 16, 64
-    dual = [complexity.dual_block_attention_macs(int(n), m, d) for n in ns]
-    conv = [complexity.transformer_block_attention_macs(int(n), d) for n in ns]
+    dual = [dual_block_attention_macs(int(n), m, d) for n in ns]
+    conv = [joint_attention_macs(int(n), d) for n in ns]
     dual_slope = np.polyfit(np.log(ns), np.log(dual), 1)[0]
     conv_slope = np.polyfit(np.log(ns), np.log(conv), 1)[0]
     ok = 0.9 <= dual_slope <= 1.2 and 1.8 <= conv_slope <= 2.1

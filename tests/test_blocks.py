@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from dualvit import complexity
 from dualvit import tensor as T
 from dualvit.blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed,
                             SemanticTokens, SemanticTransition, TransformerBlock)
 from dualvit.errors import ConfigError, DimensionError, InputError
 from dualvit.tensor import Tensor
+from tests.test_complexity import dual_block_attention_macs, joint_attention_macs
 from tests.test_nn import _randomize
 
 
@@ -53,7 +53,7 @@ class TestTransformerBlock:
         _randomize(blk, rng)
         x = rng.standard_normal((1, 4, 8))
         xn = blk.norm_attn(Tensor(x))
-        mid = blk.attn(xn, xn, xn).data + x
+        mid = blk.attn(xn, xn).data + x
         expected = blk.ffn(blk.norm_ffn(Tensor(mid))).data + mid
         np.testing.assert_allclose(blk(Tensor(x)).data, expected, atol=1e-6)
 
@@ -76,7 +76,7 @@ class TestDualBlock:
         z_next = blk._semantic_pathway(x.tokens, z.tokens)
         xn = blk.norm_x_pix(x.tokens)
         zn = blk.norm_z_out(z_next)
-        update = blk.pix_cross(xn, zn, zn).data
+        update = blk.pix_cross(xn, zn).data
         # single key/value token: every query receives the same mixed value
         np.testing.assert_allclose(update, np.tile(update[:, :1], (1, 9, 1)),
                                    atol=1e-10)
@@ -143,10 +143,10 @@ class TestDualBlock:
 
         def self_attn(norm, z):
             zn = norm(z)
-            return T.add(blk.sem_self(zn, zn, zn), z)
+            return T.add(blk.sem_self(zn, zn), z)
 
         def cross_attn(norm, z):
-            return T.add(blk.sem_cross(norm(z), xn, xn), z)
+            return T.add(blk.sem_cross(norm(z), xn), z)
 
         def ffn(z):
             return T.add(blk.sem_ffn(blk.norm_z_ffn(z)), z)
@@ -213,7 +213,7 @@ class TestMergeBlock:
         z = rng.standard_normal((1, 2, 8))
         joint = np.concatenate([x, z], axis=-2)
         yn = blk.norm_joint(Tensor(joint))
-        mixed = blk.attn(yn, yn, yn).data + joint
+        mixed = blk.attn(yn, yn).data + joint
         xm, zm = mixed[:, :4], mixed[:, 4:]
         ex = blk.ffn_x(blk.norm_x(Tensor(xm))).data + xm
         ez = blk.ffn_z(blk.norm_z(Tensor(zm))).data + zm
@@ -301,8 +301,8 @@ class TestSemanticTransition:
 def test_attention_score_work_ratio():
     # per-block score-matrix entries: m^2 + 2nm for dual vs n^2 for transformer
     n, m, d = 1024, 16, 64
-    dual = complexity.dual_block_attention_macs(n, m, d)
-    conv = complexity.transformer_block_attention_macs(n, d)
+    dual = dual_block_attention_macs(n, m, d)
+    conv = joint_attention_macs(n, d)
     assert dual == 2 * d * (m * m + 2 * n * m)
     assert conv == 2 * d * n * n
     assert dual < conv / 10

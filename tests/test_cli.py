@@ -54,7 +54,7 @@ def test_count_matches_library(capsys):
     assert code == 0
     got = json.loads(out)
     cfg = preset_config("tiny")
-    report = count_macs(build_model(cfg), cfg.resolution)
+    report = count_macs(build_model(cfg))
     assert got["params"] == report.params
     assert got["macs"] == report.macs
 
@@ -201,6 +201,19 @@ def test_debug_sentinel_stop_is_an_error_line(tmp_path):
                    DUALVIT_DEBUG="1")
     assert done.returncode == 1
     assert "error: non-finite value" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_debug_sentinel_stop_writes_the_files_of_a_plain_abort(tmp_path):
+    """Stopped by the sentinel or by its non-finite loss, a diverging run
+    writes the same loss.csv and last-good checkpoint."""
+    argv = ["-m", "dualvit.cli", "train", "--preset", "tiny", "--steps", "3",
+            "--lr", "1e10", "--per-class", "2", "--out"]
+    plain = _python(*argv, str(tmp_path / "plain"))
+    debug = _python(*argv, str(tmp_path / "debug"), DUALVIT_DEBUG="1")
+    for done in (plain, debug):
+        assert done.returncode == 1 and "Traceback" not in done.stderr
+    for name in ("loss.csv", "model.dvcp"):
+        assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def test_config_file_load_and_rejection(tmp_path, capsys):

@@ -3,9 +3,20 @@ import pytest
 
 from dualvit import complexity
 from dualvit import tensor as T
-from dualvit.errors import InputError
 from dualvit.model import build_model, preset_config
 from dualvit.nn import Linear
+
+
+def dual_block_attention_macs(n, m, d):
+    """Score and value-mix MACs of a dual block: semantic self-attention plus
+    the two cross-attentions."""
+    return (complexity.mha_attention_macs(m, m, d) + complexity.mha_attention_macs(m, n, d)
+            + complexity.mha_attention_macs(n, m, d))
+
+
+def joint_attention_macs(n, d):
+    """Score and value-mix MACs of self-attention over all n tokens."""
+    return complexity.mha_attention_macs(n, n, d)
 
 
 def test_linear_param_count_anchor():
@@ -27,7 +38,7 @@ def test_count_params_matches_registry(name, variant):
 
 def test_breakdown_is_exhaustive():
     model = build_model(preset_config("tiny"))
-    report = complexity.count_macs(model, 32)
+    report = complexity.count_macs(model)
     assert sum(p for _, p, _ in report.breakdown) == report.params
     assert sum(m for _, _, m in report.breakdown) == report.macs
     paths = [p for p, _, _ in report.breakdown]
@@ -36,7 +47,7 @@ def test_breakdown_is_exhaustive():
 
 def test_small_preset_macs_near_published():
     model = build_model(preset_config("S"))
-    report = complexity.count_macs(model, 224)
+    report = complexity.count_macs(model)
     assert abs(report.macs - 4.8e9) / 4.8e9 < 0.15
 
 
@@ -45,19 +56,11 @@ def test_small_preset_params_near_published():
     assert abs(report.params - 24.6e6) / 24.6e6 < 0.10
 
 
-def test_invalid_resolution_rejected():
-    model = build_model(preset_config("tiny"))
-    with pytest.raises(InputError):
-        complexity.count_macs(model, 33)
-
-
 def test_doubling_tokens_scaling():
     m, d = 16, 64
     for n in (256, 1024):
-        dual_ratio = (complexity.dual_block_attention_macs(2 * n, m, d)
-                      / complexity.dual_block_attention_macs(n, m, d))
-        conv_ratio = (complexity.transformer_block_attention_macs(2 * n, d)
-                      / complexity.transformer_block_attention_macs(n, d))
+        dual_ratio = dual_block_attention_macs(2 * n, m, d) / dual_block_attention_macs(n, m, d)
+        conv_ratio = joint_attention_macs(2 * n, d) / joint_attention_macs(n, d)
         assert dual_ratio < 2.2
         assert conv_ratio == pytest.approx(4.0)
 
@@ -65,9 +68,8 @@ def test_doubling_tokens_scaling():
 def test_log_log_slopes():
     m, d = 16, 64
     ns = np.array([256, 1024, 4096], dtype=float)
-    dual = np.array([complexity.dual_block_attention_macs(int(n), m, d) for n in ns])
-    conv = np.array([complexity.transformer_block_attention_macs(int(n), d)
-                     for n in ns])
+    dual = np.array([dual_block_attention_macs(int(n), m, d) for n in ns])
+    conv = np.array([joint_attention_macs(int(n), d) for n in ns])
     dual_slope = np.polyfit(np.log(ns), np.log(dual), 1)[0]
     conv_slope = np.polyfit(np.log(ns), np.log(conv), 1)[0]
     assert 0.9 <= dual_slope <= 1.2
@@ -101,7 +103,7 @@ def test_ablation_deltas():
 
 def test_report_serialization_forms():
     model = build_model(preset_config("tiny"))
-    report = complexity.count_macs(model, 32)
+    report = complexity.count_macs(model)
     as_json = report.to_json_dict()
     assert as_json["params"] == report.params
     assert as_json["gmacs"] == pytest.approx(report.macs / 1e9)

@@ -39,7 +39,7 @@ def test_head_divisibility(name):
 
 def test_s_token_schedule_at_224():
     cfg = preset_config("S")
-    assert cfg.token_counts(224) == [3136, 784, 196, 49]
+    assert cfg.token_counts() == [3136, 784, 196, 49]
 
 
 def test_unknown_preset_rejected():

@@ -46,7 +46,7 @@ class TestMha:
         mha = MultiHeadAttention(4, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         x = rng.standard_normal((1, 1, 4))
-        out = mha(Tensor(x), Tensor(x), Tensor(x)).data
+        out = mha(Tensor(x), Tensor(x)).data
         vp = x[0] @ mha.v_proj.weight.data + mha.v_proj.bias.data
         expected = vp @ mha.o_proj.weight.data + mha.o_proj.bias.data
         np.testing.assert_allclose(out[0], expected, rtol=1e-9)
@@ -57,11 +57,10 @@ class TestMha:
         q = Tensor(rng.standard_normal((1, 2, 6)))
         key_row = rng.standard_normal(6)
         k = Tensor(np.tile(key_row, (1, 5, 1)))
-        v = Tensor(rng.standard_normal((1, 5, 6)))
         weights = mha.attention_weights(q, k).data
         np.testing.assert_allclose(weights, 1.0 / 5.0, atol=1e-7)
-        out = mha(q, k, v).data
-        vp = v.data[0] @ mha.v_proj.weight.data + mha.v_proj.bias.data
+        out = mha(q, k).data
+        vp = k.data[0] @ mha.v_proj.weight.data + mha.v_proj.bias.data
         expected = vp.mean(axis=0) @ mha.o_proj.weight.data + mha.o_proj.bias.data
         np.testing.assert_allclose(out[0, 0], expected, rtol=1e-6)
 
@@ -70,7 +69,7 @@ class TestMha:
         _randomize(mha, rng)
         q = rng.standard_normal((1, 2, 4))
         kv = rng.standard_normal((1, 3, 4))
-        out = mha(Tensor(q), Tensor(kv), Tensor(kv)).data
+        out = mha(Tensor(q), Tensor(kv)).data
         np.testing.assert_allclose(out, dense_attention_oracle(q, kv, kv, mha),
                                    atol=1e-6)
 
@@ -78,7 +77,7 @@ class TestMha:
         mha = MultiHeadAttention(8, 2, rng).astype(np.float64)
         _randomize(mha, rng)
         x = rng.standard_normal((2, 5, 8))
-        out = mha(Tensor(x), Tensor(x), Tensor(x)).data
+        out = mha(Tensor(x), Tensor(x)).data
         np.testing.assert_allclose(out, dense_attention_oracle(x, x, x, mha),
                                    atol=1e-6)
 
@@ -88,12 +87,8 @@ class TestMha:
 
     def test_kv_token_mismatch_rejected(self, rng):
         mha = MultiHeadAttention(4, 2, rng)
-        with pytest.raises(DimensionError):
-            mha(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 3, 4))),
-                Tensor(np.zeros((1, 4, 4))))
         with pytest.raises(DimensionError):  # a query of the wrong width
-            mha(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 4))),
-                Tensor(np.zeros((1, 3, 4))))
+            mha(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 3, 4))))
 
     def test_weights_are_convex_combinations(self, rng):
         mha = MultiHeadAttention(8, 4, rng).astype(np.float64)
@@ -110,8 +105,8 @@ class TestMha:
         q = rng.standard_normal((1, 5, 4))
         kv = Tensor(rng.standard_normal((1, 3, 4)))
         perm = rng.permutation(5)
-        out = mha(Tensor(q), kv, kv).data
-        out_perm = mha(Tensor(q[:, perm]), kv, kv).data
+        out = mha(Tensor(q), kv).data
+        out_perm = mha(Tensor(q[:, perm]), kv).data
         np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-10)
 
     def test_kv_permutation_invariance(self, rng):
@@ -120,8 +115,8 @@ class TestMha:
         q = Tensor(rng.standard_normal((1, 2, 4)))
         kv = rng.standard_normal((1, 6, 4))
         perm = rng.permutation(6)
-        out = mha(q, Tensor(kv), Tensor(kv)).data
-        out_perm = mha(q, Tensor(kv[:, perm]), Tensor(kv[:, perm])).data
+        out = mha(q, Tensor(kv)).data
+        out_perm = mha(q, Tensor(kv[:, perm])).data
         np.testing.assert_allclose(out_perm, out, atol=1e-10)
 
     def test_gradients_match_finite_differences(self, rng):
@@ -132,7 +127,7 @@ class TestMha:
 
         def build():
             xt = Tensor(x, dtype=np.float64)
-            return T.sum_all(T.mul(mha(xt, xt, xt), Tensor(probe)))
+            return T.sum_all(T.mul(mha(xt, xt), Tensor(probe)))
 
         build().backward()
         for name, p in mha.named_parameters():

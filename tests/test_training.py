@@ -15,17 +15,17 @@ from dualvit.training import (AdamW, cosine_lr, evaluate, gradcheck,
 
 def test_adamw_zero_grad_is_pure_decay():
     p = Tensor(np.array([2.0, -3.0]), requires_grad=True)
-    opt = AdamW([p], lr=0.1, weight_decay=0.05)
+    opt = AdamW([p], weight_decay=0.05)
     p.grad = np.zeros(2)
-    opt.step()
+    opt.step(0.1)
     np.testing.assert_allclose(p.data, np.array([2.0, -3.0]) * (1 - 0.1 * 0.05))
 
 
 def test_adamw_first_step_is_signed_lr():
     p = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)
-    opt = AdamW([p], lr=0.01, weight_decay=0.0)
+    opt = AdamW([p], weight_decay=0.0)
     p.grad = np.array([0.5, -2.0, 3.0])
-    opt.step()
+    opt.step(0.01)
     # with zero moments the bias-corrected update is lr * g/(|g| + eps)
     np.testing.assert_allclose(p.data, 1.0 - 0.01 * np.sign(p.grad), rtol=1e-6)
 
@@ -44,10 +44,10 @@ def test_adamw_three_step_oracle():
     grads = [0.3, -0.7, 0.25]
     expected = reference(1.5, grads, 0.02, 0.9, 0.999, 1e-8, 0.05)
     p = Tensor(np.array([1.5]), requires_grad=True)
-    opt = AdamW([p], lr=0.02, weight_decay=0.05)
+    opt = AdamW([p], weight_decay=0.05)
     for g in grads:
         p.grad = np.array([g])
-        opt.step()
+        opt.step(0.02)
     assert abs(p.data[0] - expected) <= 1e-7
 
 
