@@ -1,6 +1,7 @@
 """Command-line surface: describe / count / gradcheck / train / eval / ablate.
 
-Exit codes: 0 success, 1 check failure, 2 usage or input error.
+Exit codes: 0 success, 1 check failure, 2 usage or input error, including an
+input or output path that cannot be opened.
 Set DUALVIT_THREADS to cap BLAS worker threads (the ``dualvit`` package
 applies it on import, before numpy loads; it also makes runs reproducible
 across machines with different core counts). Set DUALVIT_DEBUG (any value
@@ -59,9 +60,7 @@ def _load_config_file(path: str) -> ModelConfig:
 def _resolve_config(args) -> ModelConfig:
     cfg = _load_config_file(args.config) if args.config else preset_config(args.preset)
     overrides = {"seed": args.seed, "resolution": args.res}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    cfg.validate()
-    return cfg
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _describe_dict(cfg: ModelConfig) -> dict:
@@ -132,10 +131,10 @@ def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     model = build_model(cfg, variant=args.variant)
     dataset = _load_dataset(args.data, cfg, args.per_class, args.seed or 0)
+    os.makedirs(args.out, exist_ok=True)
     report = training.train_toy(model, dataset, steps=args.steps,
                                 batch_size=args.batch, lr=args.lr,
                                 weight_decay=args.wd, seed=args.seed or 0)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "loss.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -257,7 +256,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ConfigError, FormatError, FileNotFoundError) as exc:
+    except (InputError, ConfigError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (DualVitError, FloatingPointError) as exc:

@@ -10,12 +10,15 @@ Preset channel/head/depth/ratio tables follow the published S/B/L variants;
 ``tiny`` is a desk-scale config for tests. The default input resolution is
 224: the cumulative patch stride is 32, so the resolution must be a multiple
 of it.
+
+A ``ModelConfig`` is valid once made and immutable: every construction, a
+preset, a parsed file or ``dataclasses.replace``, runs ``validate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -39,7 +42,7 @@ def _check_positive_ints(obj, names, where: str = "") -> None:
             raise ConfigError(f"{where}{name} must be a positive integer, got {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageSpec:
     depth: int
     heads: int
@@ -63,16 +66,21 @@ class StageSpec:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    stages: list[StageSpec]
+    stages: tuple[StageSpec, ...]
     m: int = 32
     num_classes: int = 1000
     resolution: int = 224
     pos_embed: bool = True
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        if type(self.stages) is not tuple:  # a list would leave the stages mutable
+            raise ConfigError(f"stages must be a tuple, got {type(self.stages).__name__}")
         if len(self.stages) != 4:
             raise ConfigError(f"expected 4 stages, got {len(self.stages)}")
         for i, s in enumerate(self.stages):
@@ -100,7 +108,7 @@ class ModelConfig:
         return counts
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "stages": [asdict(s) for s in self.stages]}
 
     @classmethod
     def from_dict(cls, raw) -> "ModelConfig":
@@ -128,9 +136,7 @@ class ModelConfig:
             if missing:
                 raise FormatError(f"stage {i + 1}: missing keys {sorted(missing)}")
             specs.append(StageSpec(**{"kind": _kind(i), **s}))
-        cfg = cls(**{**raw, "stages": specs})
-        cfg.validate()
-        return cfg
+        return cls(**{**raw, "stages": tuple(specs)})
 
 
 # Stage columns of each preset, one value per stage: depth, heads, channels,
@@ -151,23 +157,19 @@ PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str, **overrides) -> ModelConfig:
-    """A named preset, with any top-level ``ModelConfig`` field overridden."""
+    """A named preset, with any top-level ``ModelConfig`` field overridden,
+    built by the one config parser."""
     presets = {key.lower(): preset for key, preset in _PRESETS.items()}
     if name.lower() not in presets:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESET_NAMES)}")
     columns, top_level = presets[name.lower()]
-    unknown = set(overrides) - {f.name for f in fields(ModelConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}")
-    stages = [StageSpec(*row, kind=_kind(i)) for i, row in enumerate(zip(*columns))]
-    cfg = replace(ModelConfig(stages, **top_level), **overrides)
-    cfg.validate()
-    return cfg
+    keys = [f.name for f in fields(StageSpec)]
+    stages = [dict(zip(keys, row)) for row in zip(*columns)]
+    return ModelConfig.from_dict({"stages": stages, **top_level, **overrides})
 
 
 class DualViT(Module):
     def __init__(self, config: ModelConfig, variant: str = "D"):
-        config.validate()
         self.config = config
         self.variant = variant
         rng = np.random.default_rng(config.seed)
@@ -243,7 +245,7 @@ class DualViT(Module):
 
     def __call__(self, images) -> Tensor:
         fm, z = self.features(images)
-        pooled = T.mean(T.concat([fm.tokens, z.tokens]), axis=-2)
+        pooled = T.mean(T.concat([fm.tokens, z.tokens]))
         return self.head(self.head_norm(pooled))
 
 

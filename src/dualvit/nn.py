@@ -41,10 +41,6 @@ class Module:
                     yield prefix + name, val
             elif isinstance(val, Module):
                 yield from val.named_parameters(f"{prefix}{name}.")
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{prefix}{name}.{i}.")
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]

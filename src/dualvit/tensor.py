@@ -19,9 +19,9 @@ Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
 as nothing reads it.
 
-The token axis is the second-to-last axis throughout; ``concat`` and
-``split`` always work on it. All forward results are deterministic functions
-of their inputs.
+The token axis is the second-to-last axis throughout; ``concat``, ``split``
+and ``mean`` always work on it. All forward results are deterministic
+functions of their inputs.
 """
 
 from __future__ import annotations
@@ -322,11 +322,10 @@ def split(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
     return pieces
 
 
-def mean(a: Tensor, axis: int) -> Tensor:
-    ax = axis if axis >= 0 else a.data.ndim + axis
-    n = a.shape[ax]
-    return _make(a.data.mean(axis=ax), (a,),
-                 lambda g: (np.broadcast_to(np.expand_dims(g, ax) / n, a.shape),))
+def mean(a: Tensor) -> Tensor:
+    n = a.shape[-2]
+    return _make(a.data.mean(axis=-2), (a,),
+                 lambda g: (np.broadcast_to(np.expand_dims(g, -2) / n, a.shape),))
 
 
 def sum_all(a: Tensor) -> Tensor:

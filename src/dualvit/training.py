@@ -224,6 +224,8 @@ def evaluate(model: DualViT, dataset, batch_size: int = 16) -> float:
     return correct / n
 
 
+# no numpy warnings: a diverging run is reported as a non-finite loss
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
               lr: float = 1e-3, weight_decay: float = 0.05,
               seed: int = 0) -> TrainReport:

@@ -216,6 +216,33 @@ def test_debug_sentinel_stop_writes_the_files_of_a_plain_abort(tmp_path):
         assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
+def test_diverging_train_prints_only_its_error_line(tmp_path):
+    out_dir = tmp_path / "run"
+    done = _python("-W", "error::RuntimeWarning", "-m", "dualvit.cli", "train",
+                   "--preset", "tiny", "--steps", "3", "--lr", "1e10", "--per-class", "2",
+                   "--out", str(out_dir))
+    assert done.returncode == 1
+    assert (out_dir / "loss.csv").exists() and (out_dir / "model.dvcp").exists()
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["count-config", "eval-checkpoint", "train-data", "train-out"])
+def test_path_that_cannot_be_opened_is_usage_error(tmp_path, capsys, case):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    argv = {
+        "count-config": ["count", "--config", str(tmp_path)],
+        "eval-checkpoint": ["eval", "--checkpoint", str(tmp_path)],
+        "train-data": ["train", "--preset", "tiny", "--steps", "1", "--data", str(tmp_path),
+                       "--out", str(tmp_path / "run")],
+        "train-out": ["train", "--preset", "tiny", "--steps", "1", "--per-class", "1",
+                      "--out", str(a_file)],
+    }[case]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_config_file_load_and_rejection(tmp_path, capsys):
     cfg = preset_config("tiny").to_dict()
     good = tmp_path / "good.json"

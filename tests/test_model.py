@@ -1,5 +1,5 @@
 import time
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvit import tensor as T
+from dualvit.complexity import count_macs
+from dualvit.data import load_checkpoint, save_checkpoint
 from dualvit.errors import ConfigError, FormatError, InputError
 from dualvit.model import ModelConfig, StageSpec, build_model, preset_config
 
@@ -124,6 +126,28 @@ class TestAblations:
 def test_config_roundtrips_through_dict():
     cfg = preset_config("S", m=16, seed=3)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_a_built_models_config_cannot_change(tmp_path, rng):
+    cfg = preset_config("tiny")
+    model = build_model(cfg)
+    images = rng.random((1, cfg.resolution, cfg.resolution, 3))
+    macs, logits = count_macs(model).macs, model(images).data
+    save_checkpoint(model, str(tmp_path / "before.dvcp"))
+    for target, name in ((cfg, "resolution"), (cfg, "m"), (cfg.stages[0], "heads")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(target, name, 64)
+    with pytest.raises(ConfigError):  # a varied copy is validated too
+        replace(cfg, resolution=48)
+    with pytest.raises(ConfigError):  # and its stages cannot be a mutable list
+        replace(cfg, stages=list(cfg.stages))
+    assert count_macs(model).macs == macs
+    assert model(images).data.tobytes() == logits.tobytes()
+    save_checkpoint(model, str(tmp_path / "after.dvcp"))
+    assert (tmp_path / "after.dvcp").read_bytes() == (tmp_path / "before.dvcp").read_bytes()
+    reloaded = load_checkpoint(str(tmp_path / "after.dvcp"))
+    assert reloaded.config == cfg
+    assert reloaded(images).data.tobytes() == logits.tobytes()
 
 
 def test_pos_embed_flag_removes_parameter():
