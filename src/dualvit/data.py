@@ -11,7 +11,9 @@ DVCP v2 (checkpoint):
     | concatenated raw little-endian float32 payloads in entry order
     | u32 CRC32 of every preceding byte (header, manifest and payload)
 
-Only v2 is read: the v1 CRC left the manifest unchecked.
+Only v2 is read: the v1 CRC left the manifest unchecked. Saving streams each
+parameter to the file under a running CRC. Loading builds the model without
+drawing its random init, since the payload overwrites every parameter.
 
 Both round trips are bit-exact. Synthetic images are quantized to the
 byte grid so that a DVDS round trip reproduces them exactly.
@@ -29,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .model import DualViT, ModelConfig, build_model
+from .nn import no_init
 
 DVDS_MAGIC = b"DVDS"
 DVCP_MAGIC = b"DVCP"
@@ -145,22 +148,21 @@ def load_packed_dataset(path: str) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: DualViT, path: str) -> None:
-    entries = []
-    payload = bytearray()
-    for name, p in model.named_parameters():
-        data = np.ascontiguousarray(p.data, dtype="<f4")
-        entries.append({"name": name, "shape": list(p.data.shape)})
-        payload += data.tobytes()
+    params = list(model.named_parameters())
     manifest = json.dumps({
         "config": model.config.to_dict(),
         "variant": model.variant,
-        "entries": entries,
+        "entries": [{"name": name, "shape": list(p.data.shape)} for name, p in params],
     }).encode("utf-8")
     head = DVCP_MAGIC + struct.pack("<II", DVCP_VERSION, len(manifest)) + manifest
     with open(path, "wb") as fh:
         fh.write(head)
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
+        crc = zlib.crc32(head)
+        for _, p in params:
+            data = np.ascontiguousarray(p.data, dtype="<f4")
+            fh.write(data)
+            crc = zlib.crc32(data, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def _read_checkpoint(path: str) -> tuple[dict, np.ndarray]:
@@ -211,10 +213,16 @@ def _check_manifest(manifest) -> None:
 
 
 def load_checkpoint(path: str) -> DualViT:
-    """Rebuild the model described by the checkpoint's config echo."""
+    """Rebuild the model described by the checkpoint's config echo.
+
+    The model is built without drawing its random init: a model is returned
+    only once the checks below have overwritten every parameter from the
+    payload.
+    """
     manifest, flat = _read_checkpoint(path)
-    model = build_model(ModelConfig.from_dict(manifest["config"]),
-                        variant=manifest["variant"])
+    with no_init():
+        model = build_model(ModelConfig.from_dict(manifest["config"]),
+                            variant=manifest["variant"])
     params = list(model.named_parameters())
     listed = [entry["name"] for entry in manifest["entries"]]
     names = [name for name, _ in params]

@@ -9,6 +9,7 @@ bias; heads are realized by reshaping the d-wide projection into (h, d_h).
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -18,8 +19,31 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 
+_init_enabled = True
+
+
+@contextmanager
+def no_init() -> Iterator[None]:
+    """Within this block, ``trunc_normal`` draws nothing; nests.
+
+    Only for a build whose every drawn parameter is overwritten before use,
+    as ``data.load_checkpoint`` does.
+    """
+    global _init_enabled
+    saved, _init_enabled = _init_enabled, False
+    try:
+        yield
+    finally:
+        _init_enabled = saved
+
+
 def trunc_normal(rng: np.random.Generator, shape):
-    """Normal(0, 0.02) float32 samples rejected outside ±2 std. Deterministic under rng."""
+    """Normal(0, 0.02) float32 samples rejected outside ±2 std. Deterministic under rng.
+
+    Under ``no_init()`` it returns uninitialized memory and leaves ``rng`` alone.
+    """
+    if not _init_enabled:
+        return np.empty(shape, dtype=T.DEFAULT_DTYPE)
     out = rng.standard_normal(shape, dtype=T.DEFAULT_DTYPE)
     flat = out.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > 2.0)

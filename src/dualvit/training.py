@@ -27,18 +27,34 @@ from .model import DualViT, build_model, preset_config
 from .tensor import Tensor
 
 
+# Elements per in-place pass: a chunk of each array stays in cache across the
+# update's passes (at S, 64K beat 16K, 256K and whole parameters).
+_CHUNK = 1 << 16
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
+    """Updates ``m``, ``v`` and the (C-contiguous) parameters in place, in
+    chunks of ``_CHUNK`` elements, with the out-of-place formula's operations
+    in its order, so the results are the same bits."""
+
     def __init__(self, params: list[Tensor], weight_decay: float = 0.05):
         self.params = list(params)
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        size = min(_CHUNK, max((m.size for m in self.m), default=0))
+        shared = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt in {m.dtype for m in self.m}}
+        # per parameter, the shared pair: shaped like it when it fits one chunk
+        self._scratch = [tuple(b[:m.size].reshape(m.shape) if m.size <= _CHUNK else b
+                               for b in shared[m.dtype]) for m in self.m]
 
     def step(self, lr: float) -> None:
-        b1, b2 = 0.9, 0.999
         self.step_count += 1
         t = self.step_count
+        c1, c2 = 1.0 - _B1 ** t, 1.0 - _B2 ** t
+        decay = 1.0 - lr * self.weight_decay if self.weight_decay else None
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -47,17 +63,45 @@ class AdamW:
                 raise ContractError(
                     f"gradient shape {g.shape} does not match parameter {p.data.shape}"
                 )
-            if self.weight_decay:
-                p.data *= 1.0 - lr * self.weight_decay
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1 ** t)
-            v_hat = self.v[i] / (1.0 - b2 ** t)
-            p.data -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+            if not p.data.flags.c_contiguous:
+                raise ContractError(f"parameter {i} is not C-contiguous: AdamW updates it in place")
+            data, m, v = p.data, self.m[i], self.v[i]
+            s, d = self._scratch[i]
+            n = data.size
+            if n <= _CHUNK:
+                _adamw_update(data, g, m, v, s, d, lr, decay, c1, c2)
+                continue
+            data, g, m, v = data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+            for lo in range(0, n, _CHUNK):
+                hi = lo + _CHUNK
+                k = min(hi, n) - lo
+                _adamw_update(data[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], s[:k], d[:k],
+                              lr, decay, c1, c2)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+
+def _adamw_update(p, g, m, v, s, d, lr, decay, c1, c2) -> None:
+    """In place, into scratch ``s`` and ``d``: p *= decay; m = b1 m + (1 - b1) g;
+    v = b2 v + ((1 - b2) g) g; p -= (lr (m / c1)) / (sqrt(v / c2) + eps)."""
+    if decay is not None:
+        p *= decay
+    m *= _B1
+    np.multiply(g, 1.0 - _B1, s)
+    m += s
+    v *= _B2
+    np.multiply(g, 1.0 - _B2, s)
+    s *= g
+    v += s
+    np.divide(m, c1, s)
+    s *= lr
+    np.divide(v, c2, d)
+    np.sqrt(d, d)
+    d += _EPS
+    s /= d
+    p -= s
 
 
 def cosine_lr(base_lr: float, step: int, total_steps: int) -> float:
@@ -266,7 +310,8 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
                 p.data[...] = saved
             aborted = True
             break
-        last_good = [p.data.copy() for p in opt.params]
+        for p, saved in zip(opt.params, last_good):
+            np.copyto(saved, p.data)
         opt.zero_grad()
         loss.backward()
         del loss

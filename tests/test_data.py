@@ -1,4 +1,6 @@
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from dualvit.data import (Dataset, class_means, load_checkpoint, load_packed_dataset,
                           make_synthetic, save_checkpoint, save_packed_dataset)
-from dualvit.errors import FormatError
+from dualvit.errors import ConfigError, FormatError
 from dualvit.model import build_model, preset_config
-from dualvit.training import _randomize
+from dualvit.training import _randomize, train_toy
 
 
 def test_synthetic_is_balanced_and_in_range():
@@ -185,6 +187,84 @@ def test_checkpoint_detects_a_changed_head_count(tmp_path):
     path.write_bytes(blob.replace(b'"heads": 2', b'"heads": 4', 1))
     with pytest.raises(FormatError, match="checksum"):
         load_checkpoint(str(path))
+
+
+def _dvcp(manifest: bytes, payload: bytes) -> bytes:
+    """The DVCP v2 layout of the README: header, manifest, payload, CRC32 of all."""
+    body = b"DVCP" + struct.pack("<II", 2, len(manifest)) + manifest + payload
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _split_dvcp(blob: bytes) -> tuple[bytes, bytes]:
+    """The manifest and payload bytes of a DVCP v2 file."""
+    (manifest_len,) = struct.unpack_from("<I", blob, 8)
+    return blob[12:12 + manifest_len], blob[12 + manifest_len:-4]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_checkpoint_bytes_follow_the_documented_layout(tmp_path, dtype):
+    """Saved bytes equal the README layout rendered here: a float64 model is
+    stored as the float32 values it was cast from."""
+    model = build_model(preset_config("tiny"), variant="B")
+    _randomize(model, np.random.default_rng(2), scale=0.05)
+    payload = b"".join(p.data.astype("<f4").tobytes() for _, p in model.named_parameters())
+    save_checkpoint(model.astype(dtype), str(tmp_path / "m.dvcp"))
+    blob = (tmp_path / "m.dvcp").read_bytes()
+    manifest, _ = _split_dvcp(blob)
+    assert json.loads(manifest) == {
+        "config": model.config.to_dict(),
+        "variant": "B",
+        "entries": [{"name": name, "shape": list(p.data.shape)}
+                    for name, p in model.named_parameters()],
+    }
+    assert blob == _dvcp(manifest, payload)
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    (lambda m: m["entries"][-1].update(shape=[11]), ConfigError, "shape mismatch"),
+    (lambda m: m["entries"][3].update(name="stages.0.nope"), FormatError, "entry 3"),
+    (lambda m: m.update(variant="Z"), ConfigError, "variant"),
+    (None, FormatError, "checksum"),
+], ids=["shape", "name", "variant-mid-build", "checksum"])
+def test_failed_load_leaves_the_random_init_on(tmp_path, edit, error, match):
+    """Loading skips the random init only inside ``load_checkpoint``: after a
+    load that fails, even in the middle of the build, a fresh build draws the
+    same weights as one made before."""
+    before = [p.data.copy() for p in build_model(preset_config("tiny")).parameters()]
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(build_model(preset_config("tiny", seed=5)), str(path))
+    blob = path.read_bytes()
+    if edit is None:
+        blob = blob[:-1] + bytes([blob[-1] ^ 1])
+    else:
+        manifest, payload = _split_dvcp(blob)
+        parsed = json.loads(manifest)
+        edit(parsed)
+        blob = _dvcp(json.dumps(parsed).encode(), payload)
+    path.write_bytes(blob)
+    with pytest.raises(error, match=match):
+        load_checkpoint(str(path))
+    after = build_model(preset_config("tiny")).parameters()
+    assert [p.data.tobytes() for p in after] == [b.tobytes() for b in before]
+
+
+def test_loaded_parameters_are_owned_writable_float32_and_train_like_the_saved_ones(tmp_path):
+    """The loader's parameters can be updated in place: two training steps on
+    a loaded model match the same steps on the model that was saved."""
+    cfg = preset_config("tiny")
+    saved = build_model(cfg)
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(saved, str(path))
+    loaded = load_checkpoint(str(path))
+    for name, p in loaded.named_parameters():
+        flags = p.data.flags
+        assert (flags.owndata, flags.writeable, flags.c_contiguous) == (True, True, True), name
+        assert p.data.dtype == np.float32, name
+    data = make_synthetic(cfg.num_classes, 2, cfg.resolution, seed=3)
+    reports = [train_toy(model, data, steps=2, batch_size=8) for model in (saved, loaded)]
+    assert reports[0].losses == reports[1].losses
+    for (name, p), (_, q) in zip(saved.named_parameters(), loaded.named_parameters()):
+        assert p.data.tobytes() == q.data.tobytes(), name
 
 
 @pytest.fixture(scope="module")

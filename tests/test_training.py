@@ -51,6 +51,35 @@ def test_adamw_three_step_oracle():
     assert abs(p.data[0] - expected) <= 1e-7
 
 
+def test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte():
+    """float32 parameters, one larger than a 64K-element chunk, weight decay on:
+    three steps equal the formula evaluated out of place, and the moment and
+    parameter arrays are updated where they are."""
+    rng = np.random.default_rng(0)
+    params = [Tensor(rng.standard_normal(shape, dtype=np.float32), requires_grad=True)
+              for shape in [(7,), (16, 24), (300, 301)]]
+    ref_p = [p.data.copy() for p in params]
+    ref_m = [np.zeros_like(p) for p in ref_p]
+    ref_v = [np.zeros_like(p) for p in ref_p]
+    opt = AdamW(params, weight_decay=0.05)
+    arrays = [*opt.m, *opt.v, *(p.data for p in params)]
+    for t, lr in enumerate([1e-2, 5e-3, 1e-3], start=1):
+        for i, p in enumerate(params):
+            g = rng.standard_normal(p.data.shape, dtype=np.float32)
+            p.grad = g
+            ref_p[i] *= 1.0 - lr * 0.05
+            ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
+            ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
+            ref_p[i] -= lr * (ref_m[i] / (1.0 - 0.9 ** t)) / (
+                np.sqrt(ref_v[i] / (1.0 - 0.999 ** t)) + 1e-8)
+        opt.step(lr)
+        for i, p in enumerate(params):
+            assert p.data.tobytes() == ref_p[i].tobytes(), (t, i)
+            assert opt.m[i].tobytes() == ref_m[i].tobytes(), (t, i)
+            assert opt.v[i].tobytes() == ref_v[i].tobytes(), (t, i)
+    assert all(a is b for a, b in zip([*opt.m, *opt.v, *(p.data for p in params)], arrays))
+
+
 def test_cosine_endpoints_and_midpoint():
     assert cosine_lr(1e-3, 0, 100) == pytest.approx(1e-3)
     assert cosine_lr(1e-3, 100, 100) == pytest.approx(0.0, abs=1e-12)
@@ -193,6 +222,30 @@ def test_each_step_graph_dies_with_the_step(monkeypatch, lr):
     report = train_toy(build_model(cfg), data, steps=3, batch_size=8, lr=lr)
     assert report.aborted == (lr > 1)
     assert len(earlier) == len(report.steps) >= 2
+
+
+def test_abort_restores_the_weights_of_the_last_finite_loss(monkeypatch):
+    """Step 2's loss is non-finite: the weights that gave step 1's loss come
+    back, not the initial ones nor those after step 1's update."""
+    cfg = preset_config("tiny")
+    data = make_synthetic(cfg.num_classes, 2, cfg.resolution, seed=4)
+    model = build_model(cfg)
+    seen: list[list[np.ndarray]] = []
+    cross_entropy = T.cross_entropy_with_logits
+
+    def non_finite_third_loss(logits, labels):
+        seen.append([p.data.copy() for p in model.parameters()])
+        if len(seen) == 3:
+            raise FloatingPointError("stopped by the test")
+        return cross_entropy(logits, labels)
+
+    monkeypatch.setattr(T, "cross_entropy_with_logits", non_finite_third_loss)
+    report = train_toy(model, data, steps=5, batch_size=8)
+    assert report.aborted and len(report.steps) == 3 and math.isnan(report.losses[-1])
+    restored = [p.data.tobytes() for p in model.parameters()]
+    assert restored == [a.tobytes() for a in seen[1]]
+    assert restored != [a.tobytes() for a in seen[0]]
+    assert restored != [a.tobytes() for a in seen[2]]
 
 
 def test_evaluate_builds_no_graph(monkeypatch):
