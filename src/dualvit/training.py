@@ -35,8 +35,8 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 class AdamW:
     """Updates ``m``, ``v`` and the (C-contiguous) parameters in place, in
-    chunks of ``_CHUNK`` elements, with the out-of-place formula's operations
-    in its order, so the results are the same bits."""
+    chunks of ``_CHUNK`` elements, doing the formula's operations in its
+    order, so the result equals the formula evaluated out of place, bit for bit."""
 
     def __init__(self, params: list[Tensor], weight_decay: float = 0.05):
         self.params = list(params)
