@@ -11,9 +11,16 @@ Backward contract: a rule takes the output gradient and returns one gradient
 per parent, in ``_parents`` order, or ``None`` for a parent it skips (a rule
 may skip an input that does not require grad). Rules never write ``grad``:
 the tape sums each returned gradient down to its parent's shape, undoing
-numpy broadcasting, and adds it into zeros laid out like the parent's data.
-A leaf without a ``grad`` takes that summed buffer as its ``grad``; a leaf
-that has one adds the buffer into it.
+numpy broadcasting. The first gradient a parent receives becomes the tape's
+buffer for it: the returned array itself when it is writeable, of the
+parent's dtype and C-contiguous, and the parent's data is C-contiguous too;
+else a copy laid out like the parent's data. Later gradients are added into
+that buffer, so the tape may write into an array a rule returned. A rule
+therefore returns only fresh arrays, its ``g``, or views of ``g`` that do
+not overlap one another (the same array for two parents is allowed: the
+second gets a copy); never an array that the forward pass or another rule
+still reads. A leaf without a ``grad`` takes its buffer as its ``grad``; a
+leaf that has one adds the buffer into it.
 
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
@@ -87,7 +94,9 @@ class Tensor:
         """Add this scalar's gradient to ``grad`` of every reachable leaf.
 
         Fan-out sums; repeated calls accumulate. Interior gradients are locals
-        of the call, each freed once its node's rule has run.
+        of the call, each freed once its node's rule has run. A node's ``g``
+        leaves the tape before its rule runs, so the tape owns every buffer it
+        takes from a rule (see the module docstring) and may add into it.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -116,12 +125,24 @@ class Tensor:
             if node._backward is None:
                 node.accumulate_grad(g)
                 continue
+            taken: set[int] = set()  # ids of the arrays this node's parents own
             for p, pg in zip(node._parents, node._backward(g) or ()):
-                if pg is not None and p.requires_grad:
-                    shape = p.data.shape
-                    if id(p) not in grads:
-                        grads[id(p)] = np.zeros_like(p.data)
-                    grads[id(p)] += pg if pg.shape == shape else _unbroadcast(pg, shape)
+                if pg is None or not p.requires_grad:
+                    continue
+                data = p.data
+                if pg.shape != data.shape:
+                    pg = _unbroadcast(pg, data.shape)
+                acc = grads.get(id(p))
+                if acc is not None:
+                    acc += pg
+                elif (id(pg) not in taken and pg.dtype == data.dtype and pg.flags.writeable
+                      and pg.flags.c_contiguous and data.flags.c_contiguous):
+                    # add returns (g, g): only its first parent may own g
+                    grads[id(p)] = pg
+                    taken.add(id(pg))
+                else:
+                    buf = grads[id(p)] = np.empty_like(data)
+                    np.copyto(buf, pg)
 
 
 @contextmanager
@@ -138,11 +159,18 @@ def no_grad() -> Iterator[None]:
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     if _debug_checks and not np.all(np.isfinite(data)):
         raise FloatingPointError("non-finite value produced by forward op")
-    out = Tensor(data)
-    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
-    if out.requires_grad:
+    out = object.__new__(Tensor)
+    # a 0-d op result can be a numpy scalar; a Tensor always holds an array
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
+    else:
+        out.requires_grad = False
+        out._parents = ()
+        out._backward = None
     return out
 
 
@@ -173,8 +201,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g: np.ndarray):
-        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
-                np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None)
+        gb = None
+        if b.requires_grad:
+            if b.data.ndim == 2:  # a weight: one GEMM over all leading axes
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.swapaxes(a.data, -1, -2) @ g
+        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None, gb)
 
     return _make(out, (a, b), backward)
 
@@ -230,9 +263,9 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layernorm affine params must have shape ({d},), got "
             f"gamma {gamma.shape}, beta {beta.shape}"
         )
-    mean = a.data.mean(axis=-1, keepdims=True)
+    mean = _row_mean(a.data)
     centered = a.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = _row_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(var + 1e-6)
     normed = centered * inv_std
     out = gamma.data * normed + beta.data
@@ -241,12 +274,19 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         ga = None
         if a.requires_grad:
             gy = g * gamma.data
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * normed).mean(axis=-1, keepdims=True)
+            m1 = _row_mean(gy)
+            m2 = _row_mean(gy * normed)
             ga = inv_std * (gy - m1 - normed * m2)
         return (ga, (g * normed).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
 
     return _make(out, (a, gamma, beta), backward)
+
+
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-1, keepdims=True)``, byte for byte, without its Python wrapper."""
+    m = np.add.reduce(x, axis=-1, keepdims=True)
+    m /= x.shape[-1]
+    return m
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

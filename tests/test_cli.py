@@ -189,6 +189,17 @@ def test_debug_switch_is_off_only_when_unset_empty_or_0(value, on):
     assert done.stdout.strip() == str(on)
 
 
+def test_debug_switch_makes_a_non_finite_op_result_raise():
+    probe = ("import numpy as np, dualvit.tensor as T\n"
+             "x = T.Tensor(np.array([1e30], np.float32))\n"
+             "with np.errstate(over='ignore'):\n"
+             "    T.scale(x, 1e30)\n")
+    done = _python("-c", probe, DUALVIT_DEBUG="1")
+    assert done.returncode == 1
+    assert "FloatingPointError: non-finite value produced by forward op" in done.stderr
+    assert _python("-c", probe).returncode == 0
+
+
 def test_debug_switch_of_any_value_runs_the_cli():
     done = _python("-m", "dualvit.cli", "describe", "--preset", "tiny", DUALVIT_DEBUG="yes")
     assert done.returncode == 0 and "Traceback" not in done.stderr
