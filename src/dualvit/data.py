@@ -12,7 +12,9 @@ DVCP v2 (checkpoint):
     | u32 CRC32 of every preceding byte (header, manifest and payload)
 
 Only v2 is read: the v1 CRC left the manifest unchecked. Saving streams each
-parameter to the file under a running CRC. Loading builds the model without
+parameter to the file under a running CRC. Loading makes two passes over the
+file: one checks the CRC through a fixed 1 MiB buffer, the next reads each
+parameter's values straight into its array. It builds the model without
 drawing its random init, since the payload overwrites every parameter.
 
 Both round trips are bit-exact. Synthetic images are quantized to the
@@ -22,6 +24,7 @@ byte grid so that a DVDS round trip reproduces them exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -165,36 +168,60 @@ def save_checkpoint(model: DualViT, path: str) -> None:
         fh.write(struct.pack("<I", crc))
 
 
-def _read_checkpoint(path: str) -> tuple[dict, np.ndarray]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12:
-        raise FormatError(f"truncated DVCP header: need 12 bytes, got {len(blob)}")
-    if blob[:4] != DVCP_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {DVCP_MAGIC!r}")
-    version, manifest_len = struct.unpack_from("<II", blob, 4)
+_CRC_CHUNK = 1 << 20
+
+
+def _read_checkpoint(fh) -> tuple[dict, int]:
+    """Check the header, CRC and manifest of the DVCP file open as ``fh``.
+
+    Returns the manifest and the payload's float32 count and leaves ``fh`` at
+    the payload. The CRC pass streams the file through one fixed buffer, so
+    the payload is never held in memory here.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12:
+        raise FormatError(f"truncated DVCP header: need 12 bytes, got {len(head)}")
+    if head[:4] != DVCP_MAGIC:
+        raise FormatError(f"bad magic {head[:4]!r}, expected {DVCP_MAGIC!r}")
+    version, manifest_len = struct.unpack_from("<II", head, 4)
     if version != DVCP_VERSION:
         raise FormatError(f"unsupported DVCP version {version}: this reader reads "
                           f"version {DVCP_VERSION} only")
     manifest_end = 12 + manifest_len
-    if len(blob) < manifest_end + 4:
+    if size < manifest_end + 4:
         raise FormatError(
             f"truncated DVCP file: a {manifest_len}-byte manifest needs at least "
-            f"{manifest_end + 4} bytes, got {len(blob)}"
+            f"{manifest_end + 4} bytes, got {size}"
         )
-    (checksum,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(memoryview(blob)[:-4]) != checksum:
+    raw = fh.read(manifest_len)
+    crc = zlib.crc32(raw, zlib.crc32(head))
+    buf = memoryview(bytearray(_CRC_CHUNK))
+    for start in range(manifest_end, size - 4, _CRC_CHUNK):
+        n = fh.readinto(buf[:min(_CRC_CHUNK, size - 4 - start)])
+        crc = zlib.crc32(buf[:n], crc)
+    if fh.read(4) != struct.pack("<I", crc):
         raise FormatError("checkpoint checksum mismatch")
     try:
-        manifest = json.loads(blob[12:manifest_end].decode("utf-8"))
+        manifest = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise FormatError(f"checkpoint manifest is not UTF-8 JSON: {exc}") from exc
     _check_manifest(manifest)
-    payload_len = len(blob) - 4 - manifest_end
+    payload_len = size - 4 - manifest_end
     if payload_len % 4:
         raise FormatError(f"checkpoint payload of {payload_len} bytes is not float32 data")
-    return manifest, np.frombuffer(blob, dtype="<f4", count=payload_len // 4,
-                                   offset=manifest_end)
+    fh.seek(manifest_end)
+    return manifest, payload_len // 4
+
+
+def _read_floats(fh, out: np.ndarray) -> None:
+    """Fill ``out`` with the next ``out.size`` little-endian float32 values of ``fh``."""
+    direct = out.dtype == np.dtype("<f4") and out.flags.c_contiguous
+    raw = out if direct else np.empty(out.shape, "<f4")
+    if fh.readinto(raw) != raw.nbytes:
+        raise FormatError("checkpoint payload shorter than manifest describes")
+    if not direct:
+        out[...] = raw
 
 
 def _check_manifest(manifest) -> None:
@@ -219,30 +246,31 @@ def load_checkpoint(path: str) -> DualViT:
     only once the checks below have overwritten every parameter from the
     payload.
     """
-    manifest, flat = _read_checkpoint(path)
-    with no_init():
-        model = build_model(ModelConfig.from_dict(manifest["config"]),
-                            variant=manifest["variant"])
-    params = list(model.named_parameters())
-    listed = [entry["name"] for entry in manifest["entries"]]
-    names = [name for name, _ in params]
-    if listed != names:
-        i, got, want = next((i, got, want) for i, (got, want)
-                            in enumerate(zip_longest(listed, names)) if got != want)
-        raise FormatError(f"checkpoint entry {i} is {got!r}, expected {want!r}: entries "
-                          "must name every model parameter once, in model order")
-    offset = 0
-    for entry, (name, p) in zip(manifest["entries"], params):
-        shape = tuple(entry["shape"])
-        if p.data.shape != shape:
-            raise ConfigError(
-                f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}"
-            )
-        size = int(np.prod(shape))
-        if offset + size > flat.size:
-            raise FormatError("checkpoint payload shorter than manifest describes")
-        p.data[...] = flat[offset:offset + size].reshape(shape)
-        offset += size
-    if offset != flat.size:
+    with open(path, "rb") as fh:
+        manifest, count = _read_checkpoint(fh)
+        with no_init():
+            model = build_model(ModelConfig.from_dict(manifest["config"]),
+                                variant=manifest["variant"])
+        params = list(model.named_parameters())
+        listed = [entry["name"] for entry in manifest["entries"]]
+        names = [name for name, _ in params]
+        if listed != names:
+            i, got, want = next((i, got, want) for i, (got, want)
+                                in enumerate(zip_longest(listed, names)) if got != want)
+            raise FormatError(f"checkpoint entry {i} is {got!r}, expected {want!r}: entries "
+                              "must name every model parameter once, in model order")
+        offset = 0
+        for entry, (name, p) in zip(manifest["entries"], params):
+            shape = tuple(entry["shape"])
+            if p.data.shape != shape:
+                raise ConfigError(
+                    f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}"
+                )
+            size = int(np.prod(shape))
+            if offset + size > count:
+                raise FormatError("checkpoint payload shorter than manifest describes")
+            _read_floats(fh, p.data)
+            offset += size
+    if offset != count:
         raise FormatError("checkpoint payload longer than manifest describes")
     return model

@@ -251,7 +251,7 @@ class DualViT(Module):
 
 def _tile_batch(t: Tensor, batch: int) -> Tensor:
     """Broadcast a (1, m, d) parameter across the batch, keeping gradients."""
-    zeros = Tensor(np.zeros((batch,) + t.shape[1:], dtype=t.data.dtype))
+    zeros = Tensor(np.zeros((batch, 1, 1), dtype=t.data.dtype))
     return T.add(t, zeros)
 
 

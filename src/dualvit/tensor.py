@@ -1,18 +1,26 @@
 """Dense n-dimensional float tensors with reverse-mode automatic differentiation.
 
 Storage is a flat row-major numpy buffer (float32 by default, float64 for
-gradient checking). Every differentiable op records its inputs and a backward
-rule on the output tensor; ``Tensor.backward()`` walks the recorded graph in
-reverse topological order, summing gradients over fan-out. Only leaves keep a
-``grad``: interior gradients are freed as the walk passes them, so repeated
-backward calls on one graph without ``zero_grad`` accumulate.
+gradient checking). An op result that records a graph gets a ``_Node``: its
+parents' nodes (a leaf parent is the leaf ``Tensor`` itself, a parent that
+does not require grad is ``None``), its backward rule, the result's shape and
+dtype, and the result's data only when that data is not C-contiguous, as a
+layout template for its gradient buffer. A rule closes over the arrays it
+reads and nothing else, never over a ``Tensor``. So the graph holds only what
+backward reads: an op result's data is freed once neither the caller nor a
+rule holds it.
+
+``Tensor.backward()`` walks the nodes in reverse topological order, summing
+gradients over fan-out. Only leaves keep a ``grad``: interior gradients are
+freed as the walk passes them, so repeated backward calls on one graph
+without ``zero_grad`` accumulate.
 
 Backward contract: a rule takes the output gradient and returns one gradient
-per parent, in ``_parents`` order, or ``None`` for a parent it skips (a rule
-may skip an input that does not require grad). Rules never write ``grad``:
-the tape sums each returned gradient down to its parent's shape, undoing
-numpy broadcasting. The first gradient a parent receives becomes the tape's
-buffer for it: the returned array itself when it is writeable, of the
+per parent, in ``_Node.parents`` order, or ``None`` for a parent it skips (a
+rule may skip an input that does not require grad). Rules never write
+``grad``: the tape sums each returned gradient down to its parent's shape,
+undoing numpy broadcasting. The first gradient a parent receives becomes the
+tape's buffer for it: the returned array itself when it is writeable, of the
 parent's dtype and C-contiguous, and the parent's data is C-contiguous too;
 else a copy laid out like the parent's data. Later gradients are added into
 that buffer, so the tape may write into an array a rule returned. A rule
@@ -54,9 +62,10 @@ class Tensor:
     """A numpy-backed array participating in the gradient tape.
 
     ``grad`` (leaves only) is lazily allocated and always matches ``data`` in shape.
+    ``_node`` is the graph node of an op result that records one, else ``None``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -67,8 +76,7 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,18 +101,23 @@ class Tensor:
     def backward(self) -> None:
         """Add this scalar's gradient to ``grad`` of every reachable leaf.
 
-        Fan-out sums; repeated calls accumulate. Interior gradients are locals
-        of the call, each freed once its node's rule has run. A node's ``g``
-        leaves the tape before its rule runs, so the tape owns every buffer it
-        takes from a rule (see the module docstring) and may add into it.
+        The walk visits the nodes reachable from this tensor's node. A node
+        holds its parents' nodes, its rule and only the arrays the rule
+        reads, so an op result's data is freed once neither the caller nor a
+        rule holds it. Fan-out sums; repeated calls accumulate. Interior
+        gradients are locals of the call, each freed once its node's rule has
+        run. A node's ``g`` leaves the tape before its rule runs, so the tape
+        owns every buffer it takes from a rule (see the module docstring) and
+        may add into it.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
-        topo: list[Tensor] = []
+        root = self._node or self
+        topo: list[_Node | Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node | Tensor, bool]] = [(root, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
@@ -114,35 +127,55 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
-        grads = {id(self): np.ones_like(self.data)}
+            if type(node) is _Node:
+                for p in node.parents:
+                    if p is not None and id(p) not in visited:
+                        stack.append((p, False))
+        grads = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if node._backward is None:
+            if type(node) is not _Node:
                 node.accumulate_grad(g)
                 continue
             taken: set[int] = set()  # ids of the arrays this node's parents own
-            for p, pg in zip(node._parents, node._backward(g) or ()):
-                if pg is None or not p.requires_grad:
+            for p, pg in zip(node.parents, node.rule(g) or ()):
+                if pg is None or p is None:
                     continue
-                data = p.data
-                if pg.shape != data.shape:
-                    pg = _unbroadcast(pg, data.shape)
+                if type(p) is _Node:
+                    shape, dtype, layout = p.shape, p.dtype, p.layout
+                else:
+                    data = p.data
+                    shape, dtype = data.shape, data.dtype
+                    layout = None if data.flags.c_contiguous else data
+                if pg.shape != shape:
+                    pg = _unbroadcast(pg, shape)
                 acc = grads.get(id(p))
                 if acc is not None:
                     acc += pg
-                elif (id(pg) not in taken and pg.dtype == data.dtype and pg.flags.writeable
-                      and pg.flags.c_contiguous and data.flags.c_contiguous):
+                elif (layout is None and id(pg) not in taken and pg.dtype == dtype
+                      and pg.flags.writeable and pg.flags.c_contiguous):
                     # add returns (g, g): only its first parent may own g
                     grads[id(p)] = pg
                     taken.add(id(pg))
                 else:
-                    buf = grads[id(p)] = np.empty_like(data)
+                    buf = grads[id(p)] = (np.empty(shape, dtype) if layout is None
+                                          else np.empty_like(layout))
                     np.copyto(buf, pg)
+
+
+class _Node:
+    """The graph record of one op result (see the module docstring)."""
+
+    __slots__ = ("parents", "rule", "shape", "dtype", "layout")
+
+    def __init__(self, parents: tuple, rule, data: np.ndarray):
+        self.parents = parents
+        self.rule: Callable[[np.ndarray], Sequence[np.ndarray | None]] = rule
+        self.shape = data.shape
+        self.dtype = data.dtype
+        self.layout = None if data.flags.c_contiguous else data
 
 
 @contextmanager
@@ -163,14 +196,13 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     # a 0-d op result can be a numpy scalar; a Tensor always holds an array
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out.requires_grad = False
+    out._node = None
+    if _grad_enabled:
+        nodes = [p._node or (p if p.requires_grad else None) for p in parents]
+        if nodes.count(None) < len(nodes):
+            out.requires_grad = True
+            out._node = _Node(tuple(nodes), backward, out.data)
     return out
 
 
@@ -199,15 +231,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
     out = a.data @ b.data
+    # each gradient reads the other operand only
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+    b_is_weight = b.data.ndim == 2
 
     def backward(g: np.ndarray):
         gb = None
-        if b.requires_grad:
-            if b.data.ndim == 2:  # a weight: one GEMM over all leading axes
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if ad is not None:
+            if b_is_weight:  # one GEMM over all leading axes
+                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
             else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-        return (g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None, gb)
+                gb = np.swapaxes(ad, -1, -2) @ g
+        return (g @ np.swapaxes(bd, -1, -2) if bd is not None else None, gb)
 
     return _make(out, (a, b), backward)
 
@@ -228,9 +264,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise DimensionError(f"mul shapes incompatible: {a.shape} * {b.shape}") from exc
 
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+
     def backward(g: np.ndarray):
-        return (g * b.data if a.requires_grad else None,
-                g * a.data if b.requires_grad else None)
+        return (g * bd if bd is not None else None,
+                g * ad if ad is not None else None)
 
     return _make(out, (a, b), backward)
 
@@ -268,12 +307,14 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     var = _row_mean(centered * centered)
     inv_std = 1.0 / np.sqrt(var + 1e-6)
     normed = centered * inv_std
-    out = gamma.data * normed + beta.data
+    gd = gamma.data
+    out = gd * normed + beta.data
+    a_requires_grad = a.requires_grad
 
     def backward(g: np.ndarray):
         ga = None
-        if a.requires_grad:
-            gy = g * gamma.data
+        if a_requires_grad:
+            gy = g * gd
             m1 = _row_mean(gy)
             m2 = _row_mean(gy * normed)
             ga = inv_std * (gy - m1 - normed * m2)
@@ -346,6 +387,7 @@ def split(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
         raise DimensionError(
             f"split sizes {list(sizes)} do not cover axis extent {a.shape[-2]}"
         )
+    shape, dtype = a.shape, a.data.dtype
     pieces: list[Tensor] = []
     offset = 0
     for size in sizes:
@@ -353,7 +395,7 @@ def split(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
         piece_data = a.data[idx_t].copy()
 
         def backward(g: np.ndarray, idx_t=idx_t):
-            full = np.zeros_like(a.data)
+            full = np.zeros(shape, dtype)
             full[idx_t] = g
             return (full,)
 
@@ -363,13 +405,15 @@ def split(a: Tensor, sizes: Sequence[int]) -> list[Tensor]:
 
 
 def mean(a: Tensor) -> Tensor:
-    n = a.shape[-2]
+    shape = a.shape
+    n = shape[-2]
     return _make(a.data.mean(axis=-2), (a,),
-                 lambda g: (np.broadcast_to(np.expand_dims(g, -2) / n, a.shape),))
+                 lambda g: (np.broadcast_to(np.expand_dims(g, -2) / n, shape),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, a.shape),))
+    shape = a.shape
+    return _make(np.asarray(a.data.sum()), (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -378,7 +422,8 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}") from exc
-    return _make(out, (a,), lambda g: (g.reshape(a.shape),))
+    in_shape = a.shape
+    return _make(out, (a,), lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:

@@ -1,3 +1,4 @@
+import io
 import json
 import struct
 import zlib
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualvit import data as D
 from dualvit.data import (Dataset, class_means, load_checkpoint, load_packed_dataset,
                           make_synthetic, save_checkpoint, save_packed_dataset)
 from dualvit.errors import ConfigError, FormatError
@@ -175,6 +177,30 @@ def test_checkpoint_detects_corruption(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError, match="checksum"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_crc_spans_chunk_boundaries(tmp_path, monkeypatch):
+    """A file many CRC buffers long loads bit-exactly, and a flip in its last
+    buffer is still caught."""
+    monkeypatch.setattr(D, "_CRC_CHUNK", 4096)
+    model = build_model(preset_config("tiny"))
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(model, str(path))
+    blob = path.read_bytes()
+    assert len(blob) > 8 * 4096
+    restored = load_checkpoint(str(path))
+    for (_, p), (_, q) in zip(model.named_parameters(), restored.named_parameters()):
+        assert p.data.tobytes() == q.data.tobytes()
+    path.write_bytes(blob[:-5] + bytes([blob[-5] ^ 1]) + blob[-4:])
+    with pytest.raises(FormatError, match="checksum"):
+        load_checkpoint(str(path))
+
+
+def test_read_floats_converts_little_endian_payload_into_another_byte_order():
+    values = np.array([1.5, -0.0, 3e38, -2.25e-5], dtype=np.float32)
+    out = np.empty(4, dtype=">f4")
+    D._read_floats(io.BytesIO(values.astype("<f4").tobytes()), out)
+    assert out.astype(np.float32).tobytes() == values.tobytes()
 
 
 def test_checkpoint_detects_a_changed_head_count(tmp_path):

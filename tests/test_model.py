@@ -230,8 +230,8 @@ def test_no_grad_forward_gives_the_same_logits_without_a_graph():
     recorded = model(images)
     with T.no_grad():
         quiet = model(images)
-    assert recorded.requires_grad and recorded._parents
-    assert not quiet.requires_grad and quiet._parents == ()
+    assert recorded.requires_grad and recorded._node.parents
+    assert not quiet.requires_grad and quiet._node is None
     assert quiet.data.dtype == recorded.data.dtype
     assert quiet.data.tobytes() == recorded.data.tobytes()
 
