@@ -256,4 +256,8 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
 
 
 def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
-    return DualViT(config, variant=variant)
+    """A config whose parameters numpy cannot allocate is a ``ConfigError``."""
+    try:
+        return DualViT(config, variant=variant)
+    except (MemoryError, ValueError) as exc:  # numpy refuses or fails the allocation
+        raise ConfigError(f"config cannot be allocated: {exc}") from exc

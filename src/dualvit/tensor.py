@@ -3,12 +3,10 @@
 Storage is a flat row-major numpy buffer (float32 by default, float64 for
 gradient checking). An op result that records a graph gets a ``_Node``: its
 parents' nodes (a leaf parent is the leaf ``Tensor`` itself, a parent that
-does not require grad is ``None``), its backward rule, the result's shape and
-dtype, and the result's data only when that data is not C-contiguous, as a
-layout template for its gradient buffer. A rule closes over the arrays it
-reads and nothing else, never over a ``Tensor``. So the graph holds only what
-backward reads: an op result's data is freed once neither the caller nor a
-rule holds it.
+does not require grad is ``None``), its backward rule, and the result's shape
+and dtype. A rule closes over the arrays it reads and nothing else, never
+over a ``Tensor``. So the graph holds only what backward reads: an op
+result's data is freed once neither the caller nor a rule holds it.
 
 ``Tensor.backward()`` walks the nodes in reverse topological order, summing
 gradients over fan-out. Only leaves keep a ``grad``: interior gradients are
@@ -21,14 +19,14 @@ rule may skip an input that does not require grad). Rules never write
 ``grad``: the tape sums each returned gradient down to its parent's shape,
 undoing numpy broadcasting. The first gradient a parent receives becomes the
 tape's buffer for it: the returned array itself when it is writeable, of the
-parent's dtype and C-contiguous, and the parent's data is C-contiguous too;
-else a copy laid out like the parent's data. Later gradients are added into
-that buffer, so the tape may write into an array a rule returned. A rule
-therefore returns only fresh arrays, its ``g``, or views of ``g`` that do
-not overlap one another (the same array for two parents is allowed: the
-second gets a copy); never an array that the forward pass or another rule
-still reads. A leaf without a ``grad`` takes its buffer as its ``grad``; a
-leaf that has one adds the buffer into it.
+parent's dtype and C-contiguous; else a C-contiguous copy of the parent's
+dtype, so every buffer the tape allocates is C-contiguous. Later gradients
+are added into that buffer, so the tape may write into an array a rule
+returned. A rule therefore returns only fresh arrays, its ``g``, or views of
+``g`` that do not overlap one another (the same array for two parents is
+allowed: the second gets a copy); never an array that the forward pass or
+another rule still reads. A leaf without a ``grad`` takes its buffer as its
+``grad``; a leaf that has one adds the buffer into it.
 
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
@@ -108,12 +106,15 @@ class Tensor:
         gradients are locals of the call, each freed once its node's rule has
         run. A node's ``g`` leaves the tape before its rule runs, so the tape
         owns every buffer it takes from a rule (see the module docstring) and
-        may add into it.
+        may add into it. A tensor that does not require grad (a constant, or
+        a result made under ``no_grad``) reaches no leaf and is refused.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.shape}"
             )
+        if not self.requires_grad:
+            raise ContractError("backward requires a loss that records a graph")
         root = self._node or self
         topo: list[_Node | Tensor] = []
         visited: set[int] = set()
@@ -143,39 +144,32 @@ class Tensor:
             for p, pg in zip(node.parents, node.rule(g) or ()):
                 if pg is None or p is None:
                     continue
-                if type(p) is _Node:
-                    shape, dtype, layout = p.shape, p.dtype, p.layout
-                else:
-                    data = p.data
-                    shape, dtype = data.shape, data.dtype
-                    layout = None if data.flags.c_contiguous else data
+                src = p if type(p) is _Node else p.data  # both have shape and dtype
+                shape, dtype = src.shape, src.dtype
                 if pg.shape != shape:
                     pg = _unbroadcast(pg, shape)
                 acc = grads.get(id(p))
                 if acc is not None:
                     acc += pg
-                elif (layout is None and id(pg) not in taken and pg.dtype == dtype
+                elif (id(pg) not in taken and pg.dtype == dtype
                       and pg.flags.writeable and pg.flags.c_contiguous):
                     # add returns (g, g): only its first parent may own g
                     grads[id(p)] = pg
                     taken.add(id(pg))
                 else:
-                    buf = grads[id(p)] = (np.empty(shape, dtype) if layout is None
-                                          else np.empty_like(layout))
-                    np.copyto(buf, pg)
+                    grads[id(p)] = pg.astype(dtype, order="C")
 
 
 class _Node:
     """The graph record of one op result (see the module docstring)."""
 
-    __slots__ = ("parents", "rule", "shape", "dtype", "layout")
+    __slots__ = ("parents", "rule", "shape", "dtype")
 
     def __init__(self, parents: tuple, rule, data: np.ndarray):
         self.parents = parents
         self.rule: Callable[[np.ndarray], Sequence[np.ndarray | None]] = rule
         self.shape = data.shape
         self.dtype = data.dtype
-        self.layout = None if data.flags.c_contiguous else data
 
 
 @contextmanager

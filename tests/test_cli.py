@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import dualvit
+from dualvit import nn
 from dualvit.cli import main
 from dualvit.complexity import count_macs
 from dualvit.data import load_checkpoint, make_synthetic, save_checkpoint, save_packed_dataset
@@ -403,6 +404,59 @@ def test_version_1_checkpoint_is_usage_error_naming_the_version(tmp_path, capsys
     code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
     assert code == 2
     assert err.startswith("error: ") and "version 1" in err and "Traceback" not in err
+
+
+# Stage 2 at 2**62 channels validates, and numpy refuses its first array
+# before allocating anything.
+def _unallocatable(cfg):
+    cfg["stages"][1]["channels"] = 2**62
+
+
+def _fail_every_draw(monkeypatch):
+    """Make every weight draw raise the MemoryError of a failed allocation."""
+    def refuse(rng, shape):
+        raise MemoryError(f"Unable to allocate an array with shape {shape}")
+    monkeypatch.setattr(nn, "trunc_normal", refuse)
+
+
+def _assert_one_allocation_error(code, err):
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: config cannot be allocated")
+
+
+@pytest.mark.parametrize("command", ["count", "train", "ablate"])
+def test_a_config_numpy_refuses_to_allocate_is_usage_error(tmp_path, capsys, command):
+    path = _tiny_config_with(tmp_path / "cfg.json", _unallocatable)
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, command, "--config", path, *(
+        ["--steps", "1", "--out", str(out_dir)] if command == "train" else []))
+    _assert_one_allocation_error(code, err)
+    assert not out_dir.exists()
+
+
+def test_a_failed_allocation_is_usage_error(monkeypatch, capsys):
+    _fail_every_draw(monkeypatch)
+    code, _, err = run_cli(capsys, "count", "--preset", "tiny")
+    _assert_one_allocation_error(code, err)
+
+
+def test_a_checkpoint_whose_config_numpy_refuses_is_usage_error(tmp_path, capsys):
+    config = preset_config("tiny").to_dict()
+    _unallocatable(config)
+    path = tmp_path / "big.dvcp"
+    path.write_bytes(_dvcp(_manifest_with(config=config)))
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
+    _assert_one_allocation_error(code, err)
+
+
+def test_a_checkpoint_whose_build_runs_out_of_memory_is_usage_error(
+        tmp_path, monkeypatch, capsys):
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(build_model(preset_config("tiny")), str(path))
+    _fail_every_draw(monkeypatch)
+    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
+    _assert_one_allocation_error(code, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -181,6 +181,23 @@ class TestBackward:
         with pytest.raises(ContractError):
             Tensor(np.zeros(3), requires_grad=True).backward()
 
+    @pytest.mark.parametrize("kind", ["no_grad", "constant"])
+    def test_a_loss_that_records_no_graph_is_refused(self, kind):
+        w = Tensor(np.ones(3), requires_grad=True)
+        if kind == "no_grad":
+            with T.no_grad():
+                loss = T.sum_all(T.scale(w, 2.0))
+        else:
+            loss = T.sum_all(Tensor(np.ones(3)))
+        with pytest.raises(ContractError, match="records a graph"):
+            loss.backward()
+        assert w.grad is None and loss.grad is None
+
+    def test_a_leaf_scalar_that_requires_grad_is_its_own_loss(self):
+        w = Tensor(np.array(3.0), requires_grad=True)
+        w.backward()
+        assert w.grad.shape == () and w.grad == 1.0
+
     def test_repeated_backward_accumulates(self):
         w = Tensor(np.ones(2), requires_grad=True)
         T.sum_all(w).backward()
@@ -400,6 +417,21 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         loss.backward()
         np.testing.assert_array_equal(w.grad, x.data.T @ probe)
         np.testing.assert_array_equal(b.grad, probe.sum(axis=0))
+
+    def test_a_transposed_result_keeps_nothing_of_its_base(self, rng):
+        """``transpose`` returns a view; the graph must not keep its base alive."""
+        x = Tensor(rng.integers(-4, 5, (2, 3, 4)).astype(np.float64))
+        w = Tensor(rng.integers(-4, 5, (4, 6)).astype(np.float64), requires_grad=True)
+        probe = rng.integers(-4, 5, (2, 18)).astype(np.float64)
+        y = T.matmul(x, w)
+        freed = weakref.ref(y.data)
+        z = T.reshape(T.transpose(y, (0, 2, 1)), (2, 18))
+        loss = T.sum_all(T.mul(z, Tensor(probe)))
+        del y, z
+        assert freed() is None
+        loss.backward()
+        np.testing.assert_array_equal(
+            w.grad, np.einsum("bti,bjt->ij", x.data, probe.reshape(2, 6, 3)))
 
     def test_no_rule_closes_over_a_tensor(self):
         cfg = preset_config("tiny", seed=0)
