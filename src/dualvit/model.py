@@ -256,8 +256,9 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
 
 
 def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
-    """A config whose parameters numpy cannot allocate is a ``ConfigError``."""
     try:
         return DualViT(config, variant=variant)
-    except (MemoryError, ValueError) as exc:  # numpy refuses or fails the allocation
+    except (MemoryError, ValueError) as exc:  # numpy failed or refused an allocation
+        if type(exc) is ValueError and not str(exc).startswith("array is too big"):
+            raise  # only numpy's size refusal is an allocation failure
         raise ConfigError(f"config cannot be allocated: {exc}") from exc

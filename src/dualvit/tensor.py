@@ -156,8 +156,8 @@ class Tensor:
                     # add returns (g, g): only its first parent may own g
                     grads[id(p)] = pg
                     taken.add(id(pg))
-                else:
-                    grads[id(p)] = pg.astype(dtype, order="C")
+                else:  # np.array copies, and unlike astype never returns a scalar
+                    grads[id(p)] = np.array(pg, dtype=dtype, order="C")
 
 
 class _Node:

@@ -406,17 +406,14 @@ def test_version_1_checkpoint_is_usage_error_naming_the_version(tmp_path, capsys
     assert err.startswith("error: ") and "version 1" in err and "Traceback" not in err
 
 
-# Stage 2 at 2**62 channels validates, and numpy refuses its first array
-# before allocating anything.
-def _unallocatable(cfg):
-    cfg["stages"][1]["channels"] = 2**62
-
-
-def _fail_every_draw(monkeypatch):
-    """Make every weight draw raise the MemoryError of a failed allocation."""
-    def refuse(rng, shape):
-        raise MemoryError(f"Unable to allocate an array with shape {shape}")
-    monkeypatch.setattr(nn, "trunc_normal", refuse)
+def _fail_allocation(failure, cfg, monkeypatch):
+    """Make building ``cfg`` fail the way numpy fails an allocation."""
+    if failure == "too_big":  # numpy refuses stage 2 at 2**62 channels before allocating
+        cfg["stages"][1]["channels"] = 2**62
+    else:
+        def refuse(rng, shape):
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        monkeypatch.setattr(nn, "trunc_normal", refuse)
 
 
 def _assert_one_allocation_error(code, err):
@@ -425,9 +422,12 @@ def _assert_one_allocation_error(code, err):
     assert err.startswith("error: config cannot be allocated")
 
 
+@pytest.mark.parametrize("failure", ["too_big", "out_of_memory"])
 @pytest.mark.parametrize("command", ["count", "train", "ablate"])
-def test_a_config_numpy_refuses_to_allocate_is_usage_error(tmp_path, capsys, command):
-    path = _tiny_config_with(tmp_path / "cfg.json", _unallocatable)
+def test_a_config_numpy_cannot_allocate_is_usage_error(
+        tmp_path, monkeypatch, capsys, command, failure):
+    path = _tiny_config_with(tmp_path / "cfg.json",
+                             lambda cfg: _fail_allocation(failure, cfg, monkeypatch))
     out_dir = tmp_path / "run"
     code, _, err = run_cli(capsys, command, "--config", path, *(
         ["--steps", "1", "--out", str(out_dir)] if command == "train" else []))
@@ -435,28 +435,23 @@ def test_a_config_numpy_refuses_to_allocate_is_usage_error(tmp_path, capsys, com
     assert not out_dir.exists()
 
 
-def test_a_failed_allocation_is_usage_error(monkeypatch, capsys):
-    _fail_every_draw(monkeypatch)
-    code, _, err = run_cli(capsys, "count", "--preset", "tiny")
-    _assert_one_allocation_error(code, err)
-
-
-def test_a_checkpoint_whose_config_numpy_refuses_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("failure", ["too_big", "out_of_memory"])
+def test_a_checkpoint_whose_config_numpy_cannot_allocate_is_usage_error(
+        tmp_path, monkeypatch, capsys, failure):
     config = preset_config("tiny").to_dict()
-    _unallocatable(config)
+    _fail_allocation(failure, config, monkeypatch)
     path = tmp_path / "big.dvcp"
     path.write_bytes(_dvcp(_manifest_with(config=config)))
     code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
     _assert_one_allocation_error(code, err)
 
 
-def test_a_checkpoint_whose_build_runs_out_of_memory_is_usage_error(
-        tmp_path, monkeypatch, capsys):
-    path = tmp_path / "m.dvcp"
-    save_checkpoint(build_model(preset_config("tiny")), str(path))
-    _fail_every_draw(monkeypatch)
-    code, _, err = run_cli(capsys, "eval", "--checkpoint", str(path))
-    _assert_one_allocation_error(code, err)
+def test_a_value_error_that_is_not_numpys_size_refusal_propagates(monkeypatch):
+    def bug(rng, shape):
+        raise ValueError("a bug in a block's init")
+    monkeypatch.setattr(nn, "trunc_normal", bug)
+    with pytest.raises(ValueError, match="a bug"):
+        build_model(preset_config("tiny"))
 
 
 @pytest.mark.parametrize("argv", [

@@ -334,6 +334,17 @@ class TestTapeBuffers:
             np.testing.assert_array_equal(leaf.grad, factor * probe)
         assert not np.shares_memory(x.grad, z.grad)
 
+    @pytest.mark.parametrize("build, factor", [
+        (lambda s: T.mul(s, s), lambda s: 2 * s),
+        (lambda s: T.add(T.scale(s, 2.0), T.scale(s, 3.0)), lambda s: 5.0),
+    ], ids=["mul", "two_scales"])
+    def test_a_scalar_with_two_consumers_sums_both(self, build, factor):
+        """Rules on a 0-d gradient return numpy scalars; the tape must still add both."""
+        w = Tensor(np.ones(3), requires_grad=True)
+        s = T.sum_all(w)
+        build(s).backward()
+        np.testing.assert_array_equal(w.grad, np.full(3, factor(s.data)))
+
 
 # 0, ±1e-3, ±3, ±10, ±1e4, plus a dense sweep of the curved region
 GELU_GRID = np.concatenate([[0.0, 1e-3, -1e-3, 3.0, -3.0, 10.0, -10.0, 1e4, -1e4],
