@@ -138,7 +138,12 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    """Token-wise expand -> GELU -> contract. No token mixing."""
+    """Token-wise expand -> GELU -> contract. No token mixing.
+
+    One ``T.feedforward`` node over the ``expand`` and ``contract`` parameters:
+    a recorded graph keeps only the input and the pre-activation, and the
+    backward recomputes GELU.
+    """
 
     def __init__(self, dim: int, ratio: int, rng: np.random.Generator):
         self.dim = dim
@@ -147,4 +152,5 @@ class FeedForward(Module):
         self.contract = Linear(ratio * dim, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.contract(T.gelu(self.expand(x)))
+        return T.feedforward(x, self.expand.weight, self.expand.bias,
+                             self.contract.weight, self.contract.bias)

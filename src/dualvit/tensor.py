@@ -28,6 +28,10 @@ allowed: the second gets a copy); never an array that the forward pass or
 another rule still reads. A leaf without a ``grad`` takes its buffer as its
 ``grad``; a leaf that has one adds the buffer into it.
 
+One op is composite: ``feedforward`` runs ``matmul``, ``add`` and ``gelu``
+under ``no_grad`` and records a single node that keeps only its input and
+pre-activation; its backward recomputes GELU from the pre-activation.
+
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
 as nothing reads it.
@@ -328,14 +332,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))).
+def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``t = tanh(√(2/π)(x + 0.044715 x³))`` and GELU's output ``0.5 x (1 + t)``.
 
-    Forward and backward each own at most two full-size buffers and fill them
-    with in-place ufuncs; the cube is two multiplies, not ``np.power``. The
-    backward keeps ``t``; neither pass writes into ``x``, ``t`` or ``g``.
+    Two fresh full-size buffers filled with in-place ufuncs; the cube is two
+    multiplies, not ``np.power``. Writes into nothing it is given.
     """
-    x = a.data
     t = x * x
     t *= x
     t *= _GELU_A
@@ -345,24 +347,72 @@ def gelu(a: Tensor) -> Tensor:
     out = t + 1.0
     out *= x
     out *= 0.5
+    return t, out
+
+
+def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``g`` times GELU's derivative at ``x``, given ``t`` from ``_gelu_parts(x)``.
+
+    Returns a fresh array; writes into none of ``g``, ``x`` or ``t``.
+    """
+    # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
+    local = x * (3.0 * _GELU_A)
+    local *= x
+    local += 1.0
+    local *= _GELU_C
+    tmp = t * t
+    np.subtract(1.0, tmp, out=tmp)
+    tmp *= x
+    tmp *= 0.5
+    local *= tmp
+    np.add(t, 1.0, out=tmp)
+    tmp *= 0.5
+    local += tmp
+    return np.multiply(g, local, out=local if g.dtype == local.dtype else None)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))).
+
+    The node keeps only ``x``; the backward recomputes ``t`` from it.
+    """
+    x = a.data
+    _, out = _gelu_parts(x)
+    return _make(out, (a,), lambda g: (_gelu_grad(g, x, _gelu_parts(x)[0]),))
+
+
+# ---------------------------------------------------------------------------
+# composite differentiable ops
+# ---------------------------------------------------------------------------
+
+def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Token-wise ``gelu(x w1 + b1) w2 + b2`` as one node.
+
+    The forward runs ``matmul``, ``add`` and ``gelu`` under ``no_grad``, so
+    anything that patches ``matmul`` to count MACs sees both forward GEMMs.
+    The node keeps only ``x`` and the pre-activation ``h = x w1 + b1``. The
+    backward recomputes GELU from ``h`` and takes every gradient with plain
+    numpy, never through ``matmul``, byte for byte as the five primitive
+    nodes would.
+    """
+    with no_grad():
+        pre = add(matmul(x, w1), b1)
+        out = add(matmul(gelu(pre), w2), b2).data
+    xd, h, w1d, w2d = x.data, pre.data, w1.data, w2.data
+    x_requires_grad = x.requires_grad
 
     def backward(g: np.ndarray):
-        # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
-        local = x * (3.0 * _GELU_A)
-        local *= x
-        local += 1.0
-        local *= _GELU_C
-        tmp = t * t
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= x
-        tmp *= 0.5
-        local *= tmp
-        np.add(t, 1.0, out=tmp)
-        tmp *= 0.5
-        local += tmp
-        return (np.multiply(g, local, out=local if g.dtype == local.dtype else None),)
+        t, act = _gelu_parts(h)
+        gw2 = act.reshape(-1, act.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        del act
+        gh = _gelu_grad(g @ w2d.T, h, t)
+        del t
+        gw1 = xd.reshape(-1, xd.shape[-1]).T @ gh.reshape(-1, gh.shape[-1])
+        gx = gh @ w1d.T if x_requires_grad else None
+        # the bias gradients are full-size: the tape sums them down
+        return (gx, gw1, gh, gw2, g)
 
-    return _make(out, (a,), backward)
+    return _make(out, (x, w1, b1, w2, b2), backward)
 
 
 def concat(tensors: Sequence[Tensor]) -> Tensor:

@@ -4,7 +4,8 @@ import pytest
 from dualvit import complexity
 from dualvit import tensor as T
 from dualvit.model import build_model, preset_config
-from dualvit.nn import Linear
+from dualvit.nn import FeedForward, Linear
+from dualvit.tensor import Tensor
 
 
 def dual_block_attention_macs(n, m, d):
@@ -90,6 +91,30 @@ def test_executed_matmul_macs_equal_analytic(monkeypatch, variant):
     batch = 3
     model(np.random.default_rng(0).random((batch, 32, 32, 3), dtype=np.float32))
     assert sum(executed) == complexity.count_macs(model).macs * batch
+
+
+def test_an_ffn_runs_its_forward_gemms_through_matmul_and_its_backward_outside_it(
+        monkeypatch):
+    """The executed-MAC count above patches ``T.matmul``: an FFN forward must make
+    both its GEMMs there, and its backward none, or MACs go missing or count twice."""
+    rng = np.random.default_rng(0)
+    tokens, dim, ratio = 10, 4, 3
+    ffn = FeedForward(dim, ratio, rng)
+    x = Tensor(rng.standard_normal((2, tokens // 2, dim)).astype(np.float32),
+               requires_grad=True)
+    original, executed = T.matmul, []
+
+    def counting(a, b):
+        executed.append(a.data.size * b.shape[-1])
+        return original(a, b)
+
+    monkeypatch.setattr(T, "matmul", counting)
+    loss = T.sum_all(ffn(x))
+    assert len(executed) == 2
+    assert sum(executed) == complexity.ffn_macs(tokens, dim, ratio)
+    loss.backward()
+    assert len(executed) == 2
+    assert x.grad is not None and ffn.expand.weight.grad is not None
 
 
 def test_ablation_deltas():

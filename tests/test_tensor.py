@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dualvit import tensor as T
 from dualvit.errors import ContractError, DimensionError
 from dualvit.model import build_model, preset_config
+from dualvit.nn import FeedForward
 from dualvit.tensor import Tensor
 
 
@@ -403,6 +404,71 @@ class TestGelu:
         np.testing.assert_array_equal(a.grad, 2 * once)
 
 
+def _ffn_leaves(rng, dtype, batch=3, tokens=5, dim=4, hidden=12):
+    """x, w1, b1, w2, b2 as leaves that require grad; the biases are non-zero."""
+    shapes = [(batch, tokens, dim), (dim, hidden), (hidden,), (hidden, dim), (dim,)]
+    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+def _ffn_composed(x, w1, b1, w2, b2):
+    """The five primitive nodes that ``T.feedforward`` stands for."""
+    return T.add(T.matmul(T.gelu(T.add(T.matmul(x, w1), b1)), w2), b2)
+
+
+def _closure_arrays(rule) -> list[np.ndarray]:
+    return [c.cell_contents for c in rule.__closure__ or ()
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+class TestFeedForward:
+    def test_float32_output_and_gradients_equal_the_composition_byte_for_byte(self, rng):
+        """Batch 3, non-zero biases; the sixth gradient is the output's, via a probe."""
+        leaves = _ffn_leaves(rng, np.float32)
+        probe_data = rng.standard_normal((3, 5, 4)).astype(np.float32)
+        results = []
+        for op in (T.feedforward, _ffn_composed):
+            for t in leaves:
+                t.zero_grad()
+            probe = Tensor(probe_data, requires_grad=True)
+            out = op(*leaves)
+            T.sum_all(T.mul(out, probe)).backward()
+            results.append([out.data] + [t.grad for t in leaves] + [probe.grad])
+        for fused, composed in zip(*results):
+            assert fused.dtype == composed.dtype and fused.shape == composed.shape
+            assert fused.tobytes() == composed.tobytes()
+
+    @pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+    def test_rule_writes_into_nothing_it_reads(self, rng, g_dtype):
+        x, w1, b1, w2, b2 = _ffn_leaves(rng, np.float32)
+        out = T.feedforward(x, w1, b1, w2, b2)
+        g = rng.standard_normal(out.shape).astype(g_dtype)
+        kept = _closure_arrays(out._node.rule)
+        saved = [a.tobytes() for a in kept] + [g.tobytes(), out.data.tobytes()]
+        first = out._node.rule(g)
+        second = out._node.rule(g)
+        assert [a.tobytes() for a in kept] + [g.tobytes(), out.data.tobytes()] == saved
+        assert len(first) == 5
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    def test_an_input_without_grad_gets_none(self, rng):
+        x, w1, b1, w2, b2 = _ffn_leaves(rng, np.float32)
+        out = T.feedforward(Tensor(x.data), w1, b1, w2, b2)
+        gx, *rest = out._node.rule(np.ones(out.shape, np.float32))
+        assert gx is None and all(r is not None for r in rest)
+
+    @pytest.mark.parametrize("probe_dtype", [np.float32, np.float64])
+    def test_backward_twice_on_one_graph_doubles_the_gradient(self, rng, probe_dtype):
+        leaves = _ffn_leaves(rng, np.float32)
+        probe = Tensor(rng.standard_normal((3, 5, 4)).astype(probe_dtype))
+        loss = T.sum_all(T.mul(T.feedforward(*leaves), probe))
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+
+
 def _graph_nodes(loss: Tensor) -> list:
     """Every ``_Node`` reachable from ``loss``."""
     seen, stack = {}, [loss._node]
@@ -471,6 +537,36 @@ class TestGraphKeepsOnlyWhatBackwardReads:
             tracemalloc.stop()
         assert logits.requires_grad
         assert live <= 0.7 * 6.6 * 2**20, live / 2**20
+
+    def test_an_ffn_node_keeps_only_its_input_and_pre_activation(self, rng):
+        ffn = FeedForward(4, 3, rng)
+        x = Tensor(rng.standard_normal((2, 5, 4)).astype(np.float32), requires_grad=True)
+        out = ffn(x)
+        params = [p.data for p in ffn.parameters()]
+        kept = [a for a in _closure_arrays(out._node.rule)
+                if not any(a is p for p in params)]
+        assert len(kept) == 2
+        assert any(a is x.data for a in kept)
+        (h,) = [a for a in kept if a is not x.data]
+        with T.no_grad():
+            pre = T.add(T.matmul(x, ffn.expand.weight), ffn.expand.bias).data
+        assert h.tobytes() == pre.tobytes()
+
+    def test_tiny_batch_16_graph_forward_stays_under_3_mb(self):
+        """Three hidden-size buffers per FFN measured 3.76 MB here (tracemalloc);
+        keeping only each FFN's input and pre-activation measured 2.72 MB."""
+        cfg = preset_config("tiny", seed=0)
+        model = build_model(cfg)
+        images = np.random.default_rng(1).random(
+            (16, cfg.resolution, cfg.resolution, 3)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            logits = model(images)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert logits.requires_grad
+        assert live <= 3.0 * 2**20, live / 2**20
 
 
 class TestNoGrad:
@@ -546,7 +642,7 @@ class TestConcatSplit:
 
 @pytest.mark.parametrize("op_name", [
     "matmul", "add", "mul", "scale", "softmax", "layernorm", "gelu",
-    "mean", "reshape", "transpose", "concat", "split", "cross_entropy",
+    "mean", "reshape", "transpose", "concat", "split", "cross_entropy", "feedforward",
 ])
 def test_op_gradients_match_finite_differences(op_name, rng):
     """Per-op gradient check, 64-bit, random inputs of <=64 elements."""
@@ -556,6 +652,8 @@ def test_op_gradients_match_finite_differences(op_name, rng):
     beta = Tensor(rng.standard_normal(4).astype(np.float64), requires_grad=True)
     probe = rng.standard_normal((2, 4, 4))
     labels = rng.integers(0, 4, size=8)
+    ffn = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+           for name, shape in (("w1", (4, 6)), ("b1", (6,)), ("w2", (6, 4)), ("b2", (4,)))}
 
     def build():
         if op_name == "matmul":
@@ -588,6 +686,9 @@ def test_op_gradients_match_finite_differences(op_name, rng):
                          T.sum_all(T.scale(b, 0.5)))
         if op_name == "cross_entropy":
             return T.cross_entropy_with_logits(T.reshape(x, (8, 4)), labels)
+        if op_name == "feedforward":
+            return T.sum_all(T.mul(T.feedforward(x, ffn["w1"], ffn["b1"], ffn["w2"], ffn["b2"]),
+                                   Tensor(probe)))
         raise AssertionError(op_name)
 
     loss = build()
@@ -595,6 +696,8 @@ def test_op_gradients_match_finite_differences(op_name, rng):
     tensors = {"x": x, "y": y}
     if op_name == "layernorm":
         tensors.update(gamma=gamma, beta=beta)
+    if op_name == "feedforward":
+        tensors.update(ffn)
     for name, t in tensors.items():
         if t.grad is None:
             continue
