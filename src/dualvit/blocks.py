@@ -144,6 +144,14 @@ class DualBlock(Module):
         x_next = T.add(self.pix_ffn(self.norm_x_ffn(x_mid)), x_mid)
         return FeatureMap(x_next, x.height, x.width), SemanticTokens(z_next)
 
+    def macs(self, n: int, m: int) -> int:
+        """MACs per image on ``n`` pixel and ``m`` semantic tokens."""
+        total = self.pix_cross.macs(n, m) + self.pix_ffn.macs(n)
+        for _, sublayer, source in self.steps:
+            layer = getattr(self, sublayer)
+            total += layer.macs(m) if source is None else layer.macs(m, n if source == "x" else m)
+        return total
+
 
 class MergeBlock(Module):
     def __init__(self, dim: int, heads: int, pixel_ratio: int, semantic_ratio: int,
@@ -164,6 +172,10 @@ class MergeBlock(Module):
         x_next = T.add(self.ffn_x(self.norm_x(x_mid)), x_mid)
         z_next = T.add(self.ffn_z(self.norm_z(z_mid)), z_mid)
         return FeatureMap(x_next, x.height, x.width), SemanticTokens(z_next)
+
+    def macs(self, n: int, m: int) -> int:
+        """MACs per image on ``n`` pixel and ``m`` semantic tokens."""
+        return self.attn.macs(n + m, n + m) + self.ffn_x.macs(n) + self.ffn_z.macs(m)
 
 
 class PatchEmbed(Module):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -39,10 +40,21 @@ def _int_at_least(low: int):
     return integer
 
 
+def _finite_float(positive: bool):
+    """An argparse ``type``: a finite float, > 0 if ``positive``, else >= 0."""
+    def number(text: str) -> float:  # argparse names it in "invalid number value"
+        value = float(text)
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if positive else '>='} 0, got {text}")
+        return value
+    return number
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--preset", choices=[n.lower() for n in PRESET_NAMES] + list(PRESET_NAMES),
-                   help="named architecture preset")
+    g.add_argument("--preset", type=str.lower, choices=[n.lower() for n in PRESET_NAMES],
+                   help="named architecture preset (any case)")
     g.add_argument("--config", help="path to a JSON model config")
     p.add_argument("--seed", type=_int_at_least(0), default=None, help="override config seed")
     p.add_argument("--res", type=int, default=None)
@@ -214,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p.add_argument("--block", choices=("dual", "merge", "transformer", "model"),
                    default="dual")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=_finite_float(positive=True), default=1e-4)
     p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(fn=cmd_gradcheck)
@@ -226,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'synthetic' or path to a DVDS file")
     p.add_argument("--steps", type=_int_at_least(0), default=500)
     p.add_argument("--batch", type=_int_at_least(1), default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--wd", type=float, default=0.05)
+    p.add_argument("--lr", type=_finite_float(positive=False), default=1e-3)
+    p.add_argument("--wd", type=_finite_float(positive=False), default=0.05)
     p.add_argument("--per-class", type=_int_at_least(1), default=8)
     p.add_argument("--out", default="runs/toy")
     p.set_defaults(fn=cmd_train)

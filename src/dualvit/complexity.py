@@ -1,5 +1,8 @@
 """Analytic parameter and MAC accounting for built models.
 
+Each layer and block reports its own MACs (its ``macs`` method, built on the
+three sublayer formulas below); ``count_macs`` walks a model and sums them per path.
+
 Conventions (the published tables report "GFLOPs"; here 1 GFLOP == 1e9 MACs):
 - linear layer on n tokens: n * d_in * d_out MACs, bias adds excluded
 - attention: score and value-mix each cost n_q * n_kv * d across all heads
@@ -15,9 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .blocks import SEMANTIC_STEPS
-from .model import DualViT
+if TYPE_CHECKING:
+    from .model import DualViT
 
 
 @dataclass
@@ -63,52 +67,22 @@ def ffn_macs(n: int, dim: int, ratio: int) -> int:
     return 2 * n * ratio * dim * dim
 
 
-def dual_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
-                    semantic_ratio: int, variant: str) -> int:
-    total = mha_macs(n, m, dim) + ffn_macs(n, dim, pixel_ratio)
-    for _, _, source in SEMANTIC_STEPS[variant]:
-        if source is None:
-            total += ffn_macs(m, dim, semantic_ratio)
-        else:
-            total += mha_macs(m, n if source == "x" else m, dim)
-    return total
-
-
-def merge_block_macs(n: int, m: int, dim: int, pixel_ratio: int,
-                     semantic_ratio: int) -> int:
-    joint = n + m
-    return (mha_macs(joint, joint, dim)
-            + ffn_macs(n, dim, pixel_ratio)
-            + ffn_macs(m, dim, semantic_ratio))
-
-
 def count_macs(model: DualViT) -> CostReport:
     """Analytic MACs (and params) for one forward pass at the model's resolution."""
     cfg = model.config
-    counts = cfg.token_counts()
     entries: list[tuple[str, int, int]] = [("z0", model.z0.data.size, 0)]
     if cfg.pos_embed:
         entries.append(("pos_embed", model.pos_embed.data.size, 0))
-    in_ch = 3
-    for i, spec in enumerate(cfg.stages):
-        n = counts[i]
-        pe_macs = n * (spec.patch_size ** 2 * in_ch) * spec.channels
-        entries.append((f"stages.{i}.patch_embed", model.patch_embeds[i].num_params(),
-                        pe_macs))
+    for i, n in enumerate(cfg.token_counts()):
+        embed = model.patch_embeds[i]
+        entries.append((f"stages.{i}.patch_embed", embed.num_params(), embed.proj.macs(n)))
         if i > 0:
-            entries.append((f"stages.{i}.transition", model.transitions[i - 1].num_params(),
-                            cfg.m * in_ch * spec.channels))
+            tr = model.transitions[i - 1]
+            entries.append((f"stages.{i}.transition", tr.num_params(), tr.proj.macs(cfg.m)))
         for j, blk in enumerate(model.stage_blocks[i]):
-            if spec.kind == "dual":
-                blk_macs = dual_block_macs(n, cfg.m, spec.channels, spec.ffn_ratio_pixel,
-                                           spec.ffn_ratio_semantic, model.variant)
-            else:
-                blk_macs = merge_block_macs(n, cfg.m, spec.channels, spec.ffn_ratio_pixel,
-                                            spec.ffn_ratio_semantic)
-            entries.append((f"stages.{i}.blocks.{j}", blk.num_params(), blk_macs))
-        in_ch = spec.channels
+            entries.append((f"stages.{i}.blocks.{j}", blk.num_params(), blk.macs(n, cfg.m)))
     entries.append(("head_norm", model.head_norm.num_params(), 0))
-    entries.append(("head", model.head.num_params(), in_ch * cfg.num_classes))
+    entries.append(("head", model.head.num_params(), model.head.macs(1)))
     return CostReport(params=sum(p for _, p, _ in entries),
                       macs=sum(m for _, _, m in entries),
                       breakdown=entries)

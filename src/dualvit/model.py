@@ -259,6 +259,7 @@ def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
     try:
         return DualViT(config, variant=variant)
     except (MemoryError, ValueError) as exc:  # numpy failed or refused an allocation
-        if type(exc) is ValueError and not str(exc).startswith("array is too big"):
-            raise  # only numpy's size refusal is an allocation failure
+        if type(exc) is ValueError and not str(exc).startswith(
+                ("array is too big", "Maximum allowed dimension exceeded")):
+            raise  # only numpy's refusals of a too-large shape are allocation failures
         raise ConfigError(f"config cannot be allocated: {exc}") from exc

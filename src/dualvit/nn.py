@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from . import tensor as T
+from .complexity import ffn_macs, mha_macs
 from .errors import ConfigError
 from .tensor import Tensor
 
@@ -92,6 +93,10 @@ class Linear(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return T.add(T.matmul(x, self.weight), self.bias)
 
+    def macs(self, n: int) -> int:
+        """MACs on ``n`` tokens; the bias add is excluded."""
+        return n * self.weight.data.size
+
 
 class LayerNorm(Module):
     def __init__(self, dim: int):
@@ -117,9 +122,10 @@ class MultiHeadAttention(Module):
         self.v_proj = Linear(dim, dim, rng)
         self.o_proj = Linear(dim, dim, rng)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
+    def _split_heads(self, x: Tensor, axes=(0, 2, 1, 3)) -> Tensor:
+        """(B, n, d) -> (B, heads, n, d_h); axes (0, 2, 3, 1) give (B, heads, d_h, n)."""
         b, n, _ = x.shape
-        return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), axes)
 
     def __call__(self, q: Tensor, kv: Tensor) -> Tensor:
         b, n_q, _ = q.shape
@@ -128,12 +134,14 @@ class MultiHeadAttention(Module):
         merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n_q, self.dim))
         return self.o_proj(merged)
 
+    def macs(self, n_q: int, n_kv: int) -> int:
+        return mha_macs(n_q, n_kv, self.dim)
+
     def attention_weights(self, q: Tensor, k: Tensor) -> Tensor:
         """Per-head attention matrix (B, heads, n_q, n_kv); rows sum to 1."""
         qh = self._split_heads(self.q_proj(q))
-        kh = self._split_heads(self.k_proj(k))
-        scores = T.scale(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))),
-                         1.0 / math.sqrt(self.head_dim))
+        kh_t = self._split_heads(self.k_proj(k), (0, 2, 3, 1))
+        scores = T.scale(T.matmul(qh, kh_t), 1.0 / math.sqrt(self.head_dim))
         return T.softmax_lastdim(scores)
 
 
@@ -154,3 +162,6 @@ class FeedForward(Module):
     def __call__(self, x: Tensor) -> Tensor:
         return T.feedforward(x, self.expand.weight, self.expand.bias,
                              self.contract.weight, self.contract.bias)
+
+    def macs(self, n: int) -> int:
+        return ffn_macs(n, self.dim, self.ratio)

@@ -10,7 +10,7 @@ import pytest
 
 import dualvit
 from dualvit import nn
-from dualvit.cli import main
+from dualvit.cli import build_parser, main
 from dualvit.complexity import count_macs
 from dualvit.data import load_checkpoint, make_synthetic, save_checkpoint, save_packed_dataset
 from dualvit.model import build_model, preset_config
@@ -406,10 +406,20 @@ def test_version_1_checkpoint_is_usage_error_naming_the_version(tmp_path, capsys
     assert err.startswith("error: ") and "version 1" in err and "Traceback" not in err
 
 
+# numpy refuses each shape case before allocating: too_big's bytes exceed the
+# address space; the others exceed 2**63 in one dimension (positional
+# embeddings of (2**38)**2 tokens, z0 of 1e23 semantic tokens)
+ALLOCATION_FAILURES = ["too_big", "resolution_2_40", "m_1e23", "out_of_memory"]
+
+
 def _fail_allocation(failure, cfg, monkeypatch):
     """Make building ``cfg`` fail the way numpy fails an allocation."""
     if failure == "too_big":  # numpy refuses stage 2 at 2**62 channels before allocating
         cfg["stages"][1]["channels"] = 2**62
+    elif failure == "resolution_2_40":
+        cfg["resolution"] = 2**40
+    elif failure == "m_1e23":
+        cfg["m"] = 10**23
     else:
         def refuse(rng, shape):
             raise MemoryError(f"Unable to allocate an array with shape {shape}")
@@ -422,7 +432,7 @@ def _assert_one_allocation_error(code, err):
     assert err.startswith("error: config cannot be allocated")
 
 
-@pytest.mark.parametrize("failure", ["too_big", "out_of_memory"])
+@pytest.mark.parametrize("failure", ALLOCATION_FAILURES)
 @pytest.mark.parametrize("command", ["count", "train", "ablate"])
 def test_a_config_numpy_cannot_allocate_is_usage_error(
         tmp_path, monkeypatch, capsys, command, failure):
@@ -435,7 +445,12 @@ def test_a_config_numpy_cannot_allocate_is_usage_error(
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("failure", ["too_big", "out_of_memory"])
+def test_a_res_override_numpy_cannot_represent_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "count", "--preset", "tiny", "--res", str(2**40))
+    _assert_one_allocation_error(code, err)
+
+
+@pytest.mark.parametrize("failure", ALLOCATION_FAILURES)
 def test_a_checkpoint_whose_config_numpy_cannot_allocate_is_usage_error(
         tmp_path, monkeypatch, capsys, failure):
     config = preset_config("tiny").to_dict()
@@ -479,3 +494,50 @@ def test_out_of_range_count_or_seed_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--tol", "nan"],
+    ["gradcheck", "--tol", "inf"],
+    ["gradcheck", "--tol", "0"],
+    ["gradcheck", "--tol", "-1"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["train", "--lr", "-0.001"],
+    ["train", "--wd", "nan"],
+    ["train", "--wd", "inf"],
+    ["train", "--wd", "-0.05"],
+], ids=lambda argv: f"{argv[0]}-{argv[1][2:]}-{argv[2]}")
+def test_a_float_flag_that_is_not_finite_or_out_of_range_is_usage_error(
+        tmp_path, capsys, argv):
+    """Refused at parse time: a bad ``--tol`` never reads as a failed check, nor a
+    bad ``--lr``/``--wd`` as a diverged run."""
+    out_dir = tmp_path / "run"
+    if argv[0] == "train":
+        argv = argv + ["--preset", "tiny", "--steps", "1", "--out", str(out_dir)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_float_flags_accept_their_bounds():
+    parser = build_parser()
+    args = parser.parse_args(["train", "--preset", "tiny", "--lr", "0", "--wd", "0"])
+    assert (args.lr, args.wd) == (0.0, 0.0)
+    assert parser.parse_args(["gradcheck", "--tol", "1e-300"]).tol == 1e-300
+
+
+def test_preset_help_lists_each_preset_once(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert "{s,b,l,tiny}" in capsys.readouterr().out
+
+
+def test_preset_name_is_read_in_either_case(capsys):
+    upper, lower = (run_cli(capsys, "describe", "--preset", name, "--json")
+                    for name in ("S", "s"))
+    assert upper == lower and upper[0] == 0
+    assert [s["channels"] for s in json.loads(upper[1])["stages"]] == [64, 128, 320, 448]

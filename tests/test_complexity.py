@@ -3,6 +3,7 @@ import pytest
 
 from dualvit import complexity
 from dualvit import tensor as T
+from dualvit.blocks import DUAL_VARIANTS, DualBlock, FeatureMap, MergeBlock, SemanticTokens
 from dualvit.model import build_model, preset_config
 from dualvit.nn import FeedForward, Linear
 from dualvit.tensor import Tensor
@@ -77,9 +78,8 @@ def test_log_log_slopes():
     assert 1.8 <= conv_slope <= 2.1
 
 
-@pytest.mark.parametrize("variant", ["A", "B", "C", "D"])
-def test_executed_matmul_macs_equal_analytic(monkeypatch, variant):
-    model = build_model(preset_config("tiny"), variant=variant)
+def _count_matmul_macs(monkeypatch) -> list[int]:
+    """Patch ``T.matmul`` to append each call's MACs to the returned list."""
     original, executed = T.matmul, []
 
     def counting(a, b):
@@ -88,9 +88,33 @@ def test_executed_matmul_macs_equal_analytic(monkeypatch, variant):
         return original(a, b)
 
     monkeypatch.setattr(T, "matmul", counting)
+    return executed
+
+
+@pytest.mark.parametrize("variant", ["A", "B", "C", "D"])
+def test_executed_matmul_macs_equal_analytic(monkeypatch, variant):
+    model = build_model(preset_config("tiny"), variant=variant)
+    executed = _count_matmul_macs(monkeypatch)
     batch = 3
     model(np.random.default_rng(0).random((batch, 32, 32, 3), dtype=np.float32))
     assert sum(executed) == complexity.count_macs(model).macs * batch
+
+
+@pytest.mark.parametrize("kind", [*DUAL_VARIANTS, "merge"])
+def test_executed_matmul_macs_of_one_block_equal_its_own_count(monkeypatch, kind):
+    """Per block, so that an error in one block's count cannot cancel another's."""
+    rng = np.random.default_rng(0)
+    dim, heads, pixel_ratio, semantic_ratio = 8, 2, 4, 2
+    if kind == "merge":
+        blk = MergeBlock(dim, heads, pixel_ratio, semantic_ratio, rng)
+    else:
+        blk = DualBlock(dim, heads, pixel_ratio, semantic_ratio, rng, variant=kind)
+    batch, n, m = 3, 16, 4
+    x = FeatureMap(Tensor(rng.standard_normal((batch, n, dim)).astype(np.float32)), 4, 4)
+    z = SemanticTokens(Tensor(rng.standard_normal((batch, m, dim)).astype(np.float32)))
+    executed = _count_matmul_macs(monkeypatch)
+    blk(x, z)
+    assert sum(executed) == batch * blk.macs(n, m)
 
 
 def test_an_ffn_runs_its_forward_gemms_through_matmul_and_its_backward_outside_it(
