@@ -23,7 +23,8 @@ from dataclasses import replace
 
 from . import complexity, data, training
 from .blocks import DUAL_VARIANTS
-from .errors import ConfigError, DualVitError, FormatError, InputError
+from .errors import (ConfigError, DualVitError, FormatError, InputError,
+                     allocation_refused_as)
 from .model import ModelConfig, PRESET_NAMES, build_model, preset_config
 
 USAGE_ERROR = 2
@@ -127,7 +128,8 @@ def cmd_gradcheck(args) -> int:
 
 def _load_dataset(spec: str, cfg: ModelConfig, per_class: int, seed: int) -> data.Dataset:
     if spec == "synthetic":
-        return data.make_synthetic(cfg.num_classes, per_class, cfg.resolution, seed=seed)
+        with allocation_refused_as(InputError, f"synthetic set of {per_class} images per class"):
+            return data.make_synthetic(cfg.num_classes, per_class, cfg.resolution, seed=seed)
     if not os.path.exists(spec):
         raise InputError(f"dataset file not found: {spec}")
     dataset = data.load_packed_dataset(spec)
@@ -180,8 +182,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
     if args.train_steps:
-        dataset = data.make_synthetic(cfg.num_classes, args.per_class,
-                                      cfg.resolution, seed=args.seed or 0)
+        dataset = _load_dataset("synthetic", cfg, args.per_class, args.seed or 0)
     rows = []
     for variant in DUAL_VARIANTS:
         model = build_model(cfg, variant=variant)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from contextlib import contextmanager
+
 
 class DualVitError(Exception):
     """Base class for all errors raised by dualvit."""
@@ -23,3 +25,17 @@ class InputError(DualVitError):
 
 class FormatError(DualVitError):
     """A serialized file does not conform to its format."""
+
+
+@contextmanager
+def allocation_refused_as(error: type[DualVitError], what: str):
+    """Re-raise numpy failing (``MemoryError``) or refusing (a too-large shape)
+    an allocation as ``error("<what> cannot be allocated: ...")``; any other
+    ``ValueError`` propagates unchanged."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if type(exc) is ValueError and not str(exc).startswith(
+                ("array is too big", "Maximum allowed dimension exceeded")):
+            raise
+        raise error(f"{what} cannot be allocated: {exc}") from exc

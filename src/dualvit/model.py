@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed, SemanticTokens,
                      SemanticTransition)
-from .errors import ConfigError, FormatError, InputError
+from .errors import ConfigError, FormatError, InputError, allocation_refused_as
 from .nn import LayerNorm, Linear, Module, trunc_normal
 from .tensor import Tensor
 
@@ -256,10 +256,5 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
 
 
 def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
-    try:
+    with allocation_refused_as(ConfigError, "config"):
         return DualViT(config, variant=variant)
-    except (MemoryError, ValueError) as exc:  # numpy failed or refused an allocation
-        if type(exc) is ValueError and not str(exc).startswith(
-                ("array is too big", "Maximum allowed dimension exceeded")):
-            raise  # only numpy's refusals of a too-large shape are allocation failures
-        raise ConfigError(f"config cannot be allocated: {exc}") from exc

@@ -2,8 +2,10 @@
 
 The optimizer is AdamW with decoupled weight decay: the decay factor is
 applied to the parameter before the bias-corrected moment update (moment
-decay rates 0.9 and 0.999, eps 1e-8). The schedule is cosine decay from the
-base learning rate to zero, no warmup.
+decay rates 0.9 and 0.999, eps 1e-8). It moves its parameters into one flat
+arena: each parameter's ``data`` becomes a view of its slice, and a parameter
+rebound after that is refused at the next step. The schedule is cosine decay
+from the base learning rate to zero, no warmup.
 
 Gradient checking casts the float32 module to float64, so it checks the same
 weights: central differences with step 1e-5 on a random subsample of
@@ -34,49 +36,67 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Updates ``m``, ``v`` and the (C-contiguous) parameters in place, in
-    chunks of ``_CHUNK`` elements, doing the formula's operations in its
-    order, so the result equals the formula evaluated out of place, bit for bit."""
+    """Moves its parameters into one flat ``arena`` of their common dtype, in
+    ``params`` order: each ``p.data`` becomes the C-contiguous view of its
+    slice, and ``m`` and ``v`` are laid out like the arena. A step updates all
+    three in place in chunks of ``_CHUNK`` elements, gathering each chunk's
+    gradient from the ``grad``s (``None`` reads as zeros) and doing the
+    formula's operations in its order, so the result equals the formula
+    evaluated out of place, bit for bit. A parameter rebound after
+    construction (by ``Module.astype``, say) is refused: build a new AdamW."""
 
     def __init__(self, params: list[Tensor], weight_decay: float = 0.05):
         self.params = list(params)
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        size = min(_CHUNK, max((m.size for m in self.m), default=0))
-        shared = {dt: (np.empty(size, dt), np.empty(size, dt)) for dt in {m.dtype for m in self.m}}
-        # per parameter, the shared pair: shaped like it when it fits one chunk
-        self._scratch = [tuple(b[:m.size].reshape(m.shape) if m.size <= _CHUNK else b
-                               for b in shared[m.dtype]) for m in self.m]
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ContractError(f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}")
+        if len({id(p) for p in self.params}) < len(self.params):
+            raise ContractError("AdamW got the same parameter twice")
+        self.arena = np.empty(sum(p.data.size for p in self.params),
+                              dtypes.pop() if dtypes else T.DEFAULT_DTYPE)
+        lo = 0
+        for p in self.params:
+            view = self.arena[lo:lo + p.data.size].reshape(p.data.shape)
+            np.copyto(view, p.data)
+            p.data = view
+            lo += view.size
+        self._views = [p.data for p in self.params]
+        self.m = np.zeros_like(self.arena)
+        self.v = np.zeros_like(self.arena)
+        # the gathered gradient and the update's two temporaries, one chunk each
+        self._g, self._s, self._d = np.empty((3, min(_CHUNK, self.arena.size)), self.arena.dtype)
 
     def step(self, lr: float) -> None:
+        for i, (p, view) in enumerate(zip(self.params, self._views)):
+            if p.data is not view:
+                raise ContractError(f"parameter {i} was rebound after AdamW moved it into "
+                                    "its arena; build a new AdamW")
+            if p.grad is not None and p.grad.shape != view.shape:
+                raise ContractError(
+                    f"gradient shape {p.grad.shape} does not match parameter {view.shape}"
+                )
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1.0 - _B1 ** t, 1.0 - _B2 ** t
         decay = 1.0 - lr * self.weight_decay if self.weight_decay else None
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            if g.shape != p.data.shape:
-                raise ContractError(
-                    f"gradient shape {g.shape} does not match parameter {p.data.shape}"
-                )
-            if not p.data.flags.c_contiguous:
-                raise ContractError(f"parameter {i} is not C-contiguous: AdamW updates it in place")
-            data, m, v = p.data, self.m[i], self.v[i]
-            s, d = self._scratch[i]
-            n = data.size
-            if n <= _CHUNK:
-                _adamw_update(data, g, m, v, s, d, lr, decay, c1, c2)
-                continue
-            data, g, m, v = data.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-            for lo in range(0, n, _CHUNK):
-                hi = lo + _CHUNK
-                k = min(hi, n) - lo
-                _adamw_update(data[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi], s[:k], d[:k],
-                              lr, decay, c1, c2)
+        n = self.arena.size
+        lo, hi = 0, min(_CHUNK, n)  # the chunk being gathered
+        start = 0  # the arena offset of the parameter being gathered
+        for p in self.params:
+            a, b = start, start + p.data.size
+            g = np.broadcast_to(0.0, b - a) if p.grad is None else p.grad.reshape(-1)
+            while a < b:
+                c = min(b, hi)
+                self._g[a - lo:c - lo] = g[a - start:c - start]
+                a = c
+                if a == hi:
+                    k = hi - lo
+                    _adamw_update(self.arena[lo:hi], self._g[:k], self.m[lo:hi], self.v[lo:hi],
+                                  self._s[:k], self._d[:k], lr, decay, c1, c2)
+                    lo, hi = hi, min(hi + _CHUNK, n)
+            start = b
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -289,7 +309,7 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
     order = rng.permutation(n)
     cursor = 0
     history: list[tuple[int, float, float]] = []
-    last_good = [p.data.copy() for p in opt.params]
+    last_good = opt.arena.copy()
     aborted = False
     for step in range(steps):
         if cursor + batch_size > n:
@@ -306,12 +326,10 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
         history.append((step, loss_val, step_lr))
         if not math.isfinite(loss_val):
             del loss  # the step's graph must not outlive it
-            for p, saved in zip(opt.params, last_good):
-                p.data[...] = saved
+            np.copyto(opt.arena, last_good)
             aborted = True
             break
-        for p, saved in zip(opt.params, last_good):
-            np.copyto(saved, p.data)
+        np.copyto(last_good, opt.arena)
         opt.zero_grad()
         loss.backward()
         del loss

@@ -461,6 +461,30 @@ def test_a_checkpoint_whose_config_numpy_cannot_allocate_is_usage_error(
     _assert_one_allocation_error(code, err)
 
 
+@pytest.mark.parametrize("failure", ["too_big", "out_of_memory"])
+@pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+def test_a_synthetic_set_numpy_cannot_allocate_is_usage_error(
+        tmp_path, monkeypatch, capsys, command, failure):
+    per_class = 10**18  # numpy refuses its noise array before allocating
+    if failure == "out_of_memory":
+        per_class = 2
+
+        def refuse(num_classes, resolution, seed=0):
+            raise MemoryError("Unable to allocate the class means")
+        monkeypatch.setattr(dualvit.data, "class_means", refuse)
+    out_dir = tmp_path / "run"
+    argv = {"train": ["train", "--preset", "tiny", "--steps", "1", "--out", str(out_dir)],
+            "eval": ["eval", "--checkpoint", str(tmp_path / "m.dvcp")],
+            "ablate": ["ablate", "--preset", "tiny", "--train-steps", "1"]}[command]
+    save_checkpoint(build_model(preset_config("tiny")), str(tmp_path / "m.dvcp"))
+    code, out, err = run_cli(capsys, *argv, "--per-class", str(per_class))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: synthetic set of {per_class} images per class "
+                          "cannot be allocated")
+    assert not out_dir.exists()
+
+
 def test_a_value_error_that_is_not_numpys_size_refusal_propagates(monkeypatch):
     def bug(rng, shape):
         raise ValueError("a bug in a block's init")

@@ -7,6 +7,7 @@ import pytest
 from dualvit import tensor as T
 from dualvit import training
 from dualvit.data import make_synthetic
+from dualvit.errors import ContractError
 from dualvit.model import DualViT, build_model, preset_config
 from dualvit.tensor import Tensor
 from dualvit.training import (AdamW, cosine_lr, evaluate, gradcheck,
@@ -53,8 +54,8 @@ def test_adamw_three_step_oracle():
 
 def test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte():
     """float32 parameters, one larger than a 64K-element chunk, weight decay on:
-    three steps equal the formula evaluated out of place, and the moment and
-    parameter arrays are updated where they are."""
+    three steps equal the formula evaluated out of place, and the flat moments
+    and the parameter arrays are updated where they are."""
     rng = np.random.default_rng(0)
     params = [Tensor(rng.standard_normal(shape, dtype=np.float32), requires_grad=True)
               for shape in [(7,), (16, 24), (300, 301)]]
@@ -62,7 +63,7 @@ def test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte():
     ref_m = [np.zeros_like(p) for p in ref_p]
     ref_v = [np.zeros_like(p) for p in ref_p]
     opt = AdamW(params, weight_decay=0.05)
-    arrays = [*opt.m, *opt.v, *(p.data for p in params)]
+    arrays = [opt.m, opt.v, *(p.data for p in params)]
     for t, lr in enumerate([1e-2, 5e-3, 1e-3], start=1):
         for i, p in enumerate(params):
             g = rng.standard_normal(p.data.shape, dtype=np.float32)
@@ -75,9 +76,71 @@ def test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte():
         opt.step(lr)
         for i, p in enumerate(params):
             assert p.data.tobytes() == ref_p[i].tobytes(), (t, i)
-            assert opt.m[i].tobytes() == ref_m[i].tobytes(), (t, i)
-            assert opt.v[i].tobytes() == ref_v[i].tobytes(), (t, i)
-    assert all(a is b for a, b in zip([*opt.m, *opt.v, *(p.data for p in params)], arrays))
+        assert opt.m.tobytes() == np.concatenate([m.reshape(-1) for m in ref_m]).tobytes(), t
+        assert opt.v.tobytes() == np.concatenate([v.reshape(-1) for v in ref_v]).tobytes(), t
+    assert all(a is b for a, b in zip([opt.m, opt.v, *(p.data for p in params)], arrays))
+
+
+def test_adamw_moves_each_parameter_into_its_arena_slice_in_order():
+    model = build_model(preset_config("tiny"))
+    before = [p.data.copy() for p in model.parameters()]
+    opt = AdamW(model.parameters())
+    lo = 0
+    for p, want in zip(model.parameters(), before):
+        assert p.data.base is opt.arena and p.data.flags.c_contiguous
+        assert p.data.ctypes.data == opt.arena.ctypes.data + lo * opt.arena.itemsize
+        assert p.data.tobytes() == want.tobytes()
+        lo += p.data.size
+    assert lo == opt.arena.size == opt.m.size == opt.v.size
+
+
+def test_adamw_refuses_mixed_dtypes_and_a_repeated_parameter():
+    a = Tensor(np.zeros(2, np.float32), requires_grad=True)
+    b = Tensor(np.zeros(3, np.float64), requires_grad=True)
+    with pytest.raises(ContractError, match="dtype"):
+        AdamW([a, b])
+    with pytest.raises(ContractError, match="twice"):
+        AdamW([a, a])
+
+
+def test_adamw_refuses_a_parameter_rebound_after_construction():
+    model = build_model(preset_config("tiny"))
+    opt = AdamW(model.parameters())
+    model.astype(np.float64)
+    with pytest.raises(ContractError, match="rebound"):
+        opt.step(1e-3)
+    assert opt.step_count == 0
+    fresh = AdamW(model.parameters())
+    assert fresh.arena.dtype == np.float64
+    p = model.parameters()[0]
+    before = p.data.copy()
+    p.grad = np.ones_like(p.data)
+    fresh.step(1e-2)
+    assert np.all(p.data < before)
+
+
+def test_adamw_over_no_parameters_steps_as_a_no_op():
+    opt = AdamW([])
+    opt.step(1e-3)
+    opt.zero_grad()
+    assert opt.arena.size == 0 and opt.step_count == 1
+
+
+def test_adamw_none_grad_updates_like_an_explicit_zero_grad_byte_for_byte():
+    """The middle parameter, which straddles a chunk boundary, has no gradient."""
+    shapes = [(5,), (300, 301), (3, 4)]
+    runs = []
+    for missing in (None, np.zeros(shapes[1], np.float32)):
+        params = [Tensor(np.arange(math.prod(s), dtype=np.float32).reshape(s) / 7,
+                         requires_grad=True) for s in shapes]
+        opt = AdamW(params)
+        for lr in (1e-2, 1e-3):
+            params[0].grad = np.full(shapes[0], 0.5, np.float32)
+            params[1].grad = missing
+            params[2].grad = np.full(shapes[2], -1.5, np.float32)
+            opt.step(lr)
+        runs.append((opt.arena.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
+    assert runs[0] == runs[1]
 
 
 def test_cosine_endpoints_and_midpoint():
