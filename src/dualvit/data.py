@@ -11,11 +11,11 @@ DVCP v2 (checkpoint):
     | concatenated raw little-endian float32 payloads in entry order
     | u32 CRC32 of every preceding byte (header, manifest and payload)
 
-Only v2 is read: the v1 CRC left the manifest unchecked. Saving streams each
-parameter to the file under a running CRC. Loading makes two passes over the
-file: one checks the CRC through a fixed 1 MiB buffer, the next reads each
-parameter's values straight into its array. It builds the model without
-drawing its random init, since the payload overwrites every parameter.
+Only v2 is read: the v1 CRC left the manifest unchecked. The payload is the
+bytes of the model's parameter arena (``Module.astype``): saving writes it once
+under the CRC. Loading checks the CRC through a fixed 1 MiB buffer, then reads
+the payload in one read into the arena of a model built without drawing its
+random init or filling its arena, since the payload overwrites every parameter.
 
 Both round trips are bit-exact. Synthetic images are quantized to the
 byte grid so that a DVDS round trip reproduces them exactly.
@@ -32,7 +32,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, ContractError, FormatError
 from .model import DualViT, ModelConfig, build_model
 from .nn import no_init
 
@@ -152,20 +152,20 @@ def load_packed_dataset(path: str) -> Dataset:
 
 def save_checkpoint(model: DualViT, path: str) -> None:
     params = list(model.named_parameters())
+    for name, p in params:
+        if p.data.base is not model.arena:
+            raise ContractError(f"parameter {name!r} was rebound out of the model's arena")
     manifest = json.dumps({
         "config": model.config.to_dict(),
         "variant": model.variant,
         "entries": [{"name": name, "shape": list(p.data.shape)} for name, p in params],
     }).encode("utf-8")
     head = DVCP_MAGIC + struct.pack("<II", DVCP_VERSION, len(manifest)) + manifest
+    payload = np.asarray(model.arena, "<f4")
     with open(path, "wb") as fh:
         fh.write(head)
-        crc = zlib.crc32(head)
-        for _, p in params:
-            data = np.ascontiguousarray(p.data, dtype="<f4")
-            fh.write(data)
-            crc = zlib.crc32(data, crc)
-        fh.write(struct.pack("<I", crc))
+        fh.write(payload)
+        fh.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
 
 
 _CRC_CHUNK = 1 << 20
@@ -259,18 +259,14 @@ def load_checkpoint(path: str) -> DualViT:
                                 in enumerate(zip_longest(listed, names)) if got != want)
             raise FormatError(f"checkpoint entry {i} is {got!r}, expected {want!r}: entries "
                               "must name every model parameter once, in model order")
-        offset = 0
         for entry, (name, p) in zip(manifest["entries"], params):
             shape = tuple(entry["shape"])
             if p.data.shape != shape:
                 raise ConfigError(
                     f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}"
                 )
-            size = int(np.prod(shape))
-            if offset + size > count:
-                raise FormatError("checkpoint payload shorter than manifest describes")
-            _read_floats(fh, p.data)
-            offset += size
-    if offset != count:
-        raise FormatError("checkpoint payload longer than manifest describes")
+        if count != model.arena.size:
+            side = "shorter" if count < model.arena.size else "longer"
+            raise FormatError(f"checkpoint payload {side} than manifest describes")
+        _read_floats(fh, model.arena)
     return model

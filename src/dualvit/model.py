@@ -26,7 +26,7 @@ from . import tensor as T
 from .blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed, SemanticTokens,
                      SemanticTransition)
 from .errors import ConfigError, FormatError, InputError, allocation_refused_as
-from .nn import LayerNorm, Linear, Module, trunc_normal
+from .nn import LayerNorm, Linear, Module, init_in_arena, trunc_normal
 from .tensor import Tensor
 
 
@@ -202,6 +202,7 @@ class DualViT(Module):
             in_ch = spec.channels
         self.head_norm = LayerNorm(in_ch)
         self.head = Linear(in_ch, config.num_classes, rng)
+        self.astype(T.DEFAULT_DTYPE)
 
     def named_parameters(self, prefix: str = ""):
         # explicit ordering: stable paths for checkpoints and cost breakdowns
@@ -256,5 +257,5 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
 
 
 def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
-    with allocation_refused_as(ConfigError, "config"):
+    with allocation_refused_as(ConfigError, "config"), init_in_arena():
         return DualViT(config, variant=variant)

@@ -21,14 +21,16 @@ from .tensor import Tensor
 
 
 _init_enabled = True
+_deferred: list | None = None  # (placeholder, rng) draws waiting for Module.astype
 
 
 @contextmanager
 def no_init() -> Iterator[None]:
-    """Within this block, ``trunc_normal`` draws nothing; nests.
+    """Within this block, ``trunc_normal`` draws nothing and returns a
+    placeholder, and ``Module.astype`` copies no values into its arena; nests.
 
-    Only for a build whose every drawn parameter is overwritten before use,
-    as ``data.load_checkpoint`` does.
+    Only for a build whose every parameter is overwritten before use, as
+    ``data.load_checkpoint`` does.
     """
     global _init_enabled
     saved, _init_enabled = _init_enabled, False
@@ -38,14 +40,41 @@ def no_init() -> Iterator[None]:
         _init_enabled = saved
 
 
+@contextmanager
+def init_in_arena() -> Iterator[None]:
+    """Within this block, ``trunc_normal`` returns a placeholder and puts its
+    draw off until ``Module.astype`` lays the parameter out. The draws then
+    fill the arena in call order, so they take the same values from the
+    generator. No drawn array is copied and freed: under glibc, freed drawn
+    arrays stayed resident and raised S@224 inference peak RSS by ~20 MB."""
+    global _deferred
+    saved, _deferred = _deferred, []
+    try:
+        yield
+    finally:
+        _deferred = saved
+
+
 def trunc_normal(rng: np.random.Generator, shape):
     """Normal(0, 0.02) float32 samples rejected outside ±2 std. Deterministic under rng.
 
-    Under ``no_init()`` it returns uninitialized memory and leaves ``rng`` alone.
+    Under ``no_init()`` or ``init_in_arena()`` it returns a read-only zero
+    placeholder that allocates nothing, for ``Module.astype`` to replace;
+    under ``no_init()`` it leaves ``rng`` alone.
     """
-    if not _init_enabled:
-        return np.empty(shape, dtype=T.DEFAULT_DTYPE)
-    out = rng.standard_normal(shape, dtype=T.DEFAULT_DTYPE)
+    if _init_enabled and _deferred is None:
+        out = np.empty(shape, dtype=T.DEFAULT_DTYPE)
+        _fill_trunc_normal(rng, out)
+        return out
+    placeholder = np.ndarray(shape, T.DEFAULT_DTYPE, T.DEFAULT_DTYPE(0).tobytes(),
+                             strides=(0,) * len(shape))
+    if _init_enabled:
+        _deferred.append((placeholder, rng))
+    return placeholder
+
+
+def _fill_trunc_normal(rng: np.random.Generator, out: np.ndarray) -> None:
+    rng.standard_normal(dtype=T.DEFAULT_DTYPE, out=out)
     flat = out.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > 2.0)
     while idx.size:
@@ -53,11 +82,12 @@ def trunc_normal(rng: np.random.Generator, shape):
         flat[idx] = redraw
         idx = idx[np.abs(redraw) > 2.0]
     out *= 0.02
-    return out
 
 
 class Module:
     """Minimal parameter container: children discovered by attribute scan."""
+
+    arena: np.ndarray | None = None  # the flat parameter array, made by astype
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
         for name, val in vars(self).items():
@@ -78,10 +108,27 @@ class Module:
         return sum(p.data.size for p in self.parameters())
 
     def astype(self, dtype) -> "Module":
-        """Cast every parameter to ``dtype`` in place, dropping its grad."""
-        for p in self.parameters():
-            p.data = p.data.astype(dtype)
+        """Lay every parameter out in one new flat ``arena`` of ``dtype``, in
+        ``named_parameters`` order, dropping its grad; return the module. Each
+        ``p.data`` becomes the C-contiguous view of its slice, holding the bits
+        ``p.data.astype(dtype)`` would, or the draw ``init_in_arena`` put off."""
+        params = self.parameters()
+        self.arena = np.empty(sum(p.data.size for p in params), dtype)
+        draws = _deferred or []
+        slots = dict.fromkeys(id(out) for out, _ in draws)
+        lo = 0
+        for p in params:
+            view = self.arena[lo:lo + p.data.size].reshape(p.data.shape)
+            if id(p.data) in slots:
+                slots[id(p.data)] = view
+            elif _init_enabled:
+                view[...] = p.data
+            p.data = view
             p.zero_grad()
+            lo += view.size
+        for out, rng in draws:
+            _fill_trunc_normal(rng, slots[id(out)])
+        draws.clear()
         return self
 
 

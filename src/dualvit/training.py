@@ -2,10 +2,9 @@
 
 The optimizer is AdamW with decoupled weight decay: the decay factor is
 applied to the parameter before the bias-corrected moment update (moment
-decay rates 0.9 and 0.999, eps 1e-8). It moves its parameters into one flat
-arena: each parameter's ``data`` becomes a view of its slice, and a parameter
-rebound after that is refused at the next step. The schedule is cosine decay
-from the base learning rate to zero, no warmup.
+decay rates 0.9 and 0.999, eps 1e-8). It updates its module's ``arena`` (see
+``Module.astype``) in place and refuses a parameter rebound out of it. The
+schedule is cosine decay from the base learning rate to zero, no warmup.
 
 Gradient checking casts the float32 module to float64, so it checks the same
 weights: central differences with step 1e-5 on a random subsample of
@@ -26,6 +25,7 @@ from . import tensor as T
 from .blocks import DualBlock, FeatureMap, MergeBlock, SemanticTokens, TransformerBlock
 from .errors import ContractError
 from .model import DualViT, build_model, preset_config
+from .nn import Module
 from .tensor import Tensor
 
 
@@ -36,46 +36,34 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Moves its parameters into one flat ``arena`` of their common dtype, in
-    ``params`` order: each ``p.data`` becomes the C-contiguous view of its
-    slice, and ``m`` and ``v`` are laid out like the arena. A step updates all
-    three in place in chunks of ``_CHUNK`` elements, gathering each chunk's
+    """Updates ``module.arena`` in place; ``m`` and ``v`` are laid out like it.
+    A step works in chunks of ``_CHUNK`` elements, gathering each chunk's
     gradient from the ``grad``s (``None`` reads as zeros) and doing the
     formula's operations in its order, so the result equals the formula
-    evaluated out of place, bit for bit. A parameter rebound after
-    construction (by ``Module.astype``, say) is refused: build a new AdamW."""
+    evaluated out of place, bit for bit. A module never laid out by
+    ``Module.astype`` is refused, and so is, at ``step``, a parameter rebound
+    out of the arena (by a later ``astype``, say): build a new AdamW."""
 
-    def __init__(self, params: list[Tensor], weight_decay: float = 0.05):
-        self.params = list(params)
+    def __init__(self, module: Module, weight_decay: float = 0.05):
+        if module.arena is None:
+            raise ContractError(f"{type(module).__name__} has no arena: lay it out with astype")
+        self.arena = module.arena
+        self.params = module.parameters()
         self.weight_decay = weight_decay
         self.step_count = 0
-        dtypes = {p.data.dtype for p in self.params}
-        if len(dtypes) > 1:
-            raise ContractError(f"AdamW needs one parameter dtype, got {sorted(map(str, dtypes))}")
-        if len({id(p) for p in self.params}) < len(self.params):
-            raise ContractError("AdamW got the same parameter twice")
-        self.arena = np.empty(sum(p.data.size for p in self.params),
-                              dtypes.pop() if dtypes else T.DEFAULT_DTYPE)
-        lo = 0
-        for p in self.params:
-            view = self.arena[lo:lo + p.data.size].reshape(p.data.shape)
-            np.copyto(view, p.data)
-            p.data = view
-            lo += view.size
-        self._views = [p.data for p in self.params]
         self.m = np.zeros_like(self.arena)
         self.v = np.zeros_like(self.arena)
         # the gathered gradient and the update's two temporaries, one chunk each
         self._g, self._s, self._d = np.empty((3, min(_CHUNK, self.arena.size)), self.arena.dtype)
 
     def step(self, lr: float) -> None:
-        for i, (p, view) in enumerate(zip(self.params, self._views)):
-            if p.data is not view:
-                raise ContractError(f"parameter {i} was rebound after AdamW moved it into "
-                                    "its arena; build a new AdamW")
-            if p.grad is not None and p.grad.shape != view.shape:
+        for i, p in enumerate(self.params):
+            if p.data.base is not self.arena:
+                raise ContractError(f"parameter {i} was rebound out of the arena AdamW "
+                                    "updates; build a new AdamW")
+            if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ContractError(
-                    f"gradient shape {p.grad.shape} does not match parameter {view.shape}"
+                    f"gradient shape {p.grad.shape} does not match parameter {p.data.shape}"
                 )
         self.step_count += 1
         t = self.step_count
@@ -303,13 +291,13 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
     stream, and all arithmetic is single-threaded numpy.
     """
     t0 = time.perf_counter()
-    opt = AdamW(model.parameters(), weight_decay=weight_decay)
+    opt = AdamW(model, weight_decay=weight_decay)
     rng = np.random.default_rng(seed)
     n = len(dataset.labels)
     order = rng.permutation(n)
     cursor = 0
     history: list[tuple[int, float, float]] = []
-    last_good = opt.arena.copy()
+    last_good = model.arena.copy()
     aborted = False
     for step in range(steps):
         if cursor + batch_size > n:
@@ -326,10 +314,10 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
         history.append((step, loss_val, step_lr))
         if not math.isfinite(loss_val):
             del loss  # the step's graph must not outlive it
-            np.copyto(opt.arena, last_good)
+            np.copyto(model.arena, last_good)
             aborted = True
             break
-        np.copyto(last_good, opt.arena)
+        np.copyto(last_good, model.arena)
         opt.zero_grad()
         loss.backward()
         del loss

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dualvit import data as D
 from dualvit.data import (Dataset, class_means, load_checkpoint, load_packed_dataset,
                           make_synthetic, save_checkpoint, save_packed_dataset)
-from dualvit.errors import ConfigError, FormatError
+from dualvit.errors import ConfigError, ContractError, FormatError
 from dualvit.model import build_model, preset_config
 from dualvit.training import _randomize, train_toy
 
@@ -246,6 +246,43 @@ def test_checkpoint_bytes_follow_the_documented_layout(tmp_path, dtype):
     assert blob == _dvcp(manifest, payload)
 
 
+def test_checkpoint_payload_is_the_arena_bytes_both_ways(tmp_path):
+    """The saved payload is the model's arena as bytes, and a loaded model's
+    arena holds those bytes."""
+    model = build_model(preset_config("tiny"))
+    _randomize(model, np.random.default_rng(3), scale=0.05)
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(model, str(path))
+    _, payload = _split_dvcp(path.read_bytes())
+    assert payload == model.arena.tobytes()
+    assert load_checkpoint(str(path)).arena.tobytes() == payload
+
+
+def test_save_refuses_a_parameter_rebound_out_of_the_arena(tmp_path):
+    """A rebound parameter is not in the arena the payload is written from."""
+    model = build_model(preset_config("tiny"))
+    model.head.bias.data = model.head.bias.data + 1.0
+    path = tmp_path / "m.dvcp"
+    with pytest.raises(ContractError, match="'head.bias' was rebound"):
+        save_checkpoint(model, str(path))
+    assert not path.exists()
+    save_checkpoint(model.astype(np.float32), str(path))
+    assert load_checkpoint(str(path)).head.bias.data.tobytes() == model.head.bias.data.tobytes()
+
+
+@pytest.mark.parametrize("change, side", [(-4, "shorter"), (4, "longer")])
+def test_payload_one_float_off_the_manifest_is_refused(tmp_path, change, side):
+    """A payload one float short or long, under a valid CRC, is refused: the
+    load must not read the CRC as the last parameter value."""
+    path = tmp_path / "m.dvcp"
+    save_checkpoint(build_model(preset_config("tiny")), str(path))
+    manifest, payload = _split_dvcp(path.read_bytes())
+    payload = payload[:change] if change < 0 else payload + bytes(change)
+    path.write_bytes(_dvcp(manifest, payload))
+    with pytest.raises(FormatError, match=f"payload {side} than manifest"):
+        load_checkpoint(str(path))
+
+
 @pytest.mark.parametrize("edit, error, match", [
     (lambda m: m["entries"][-1].update(shape=[11]), ConfigError, "shape mismatch"),
     (lambda m: m["entries"][3].update(name="stages.0.nope"), FormatError, "entry 3"),
@@ -275,8 +312,9 @@ def test_failed_load_leaves_the_random_init_on(tmp_path, edit, error, match):
 
 
 def test_loaded_parameters_are_owned_writable_float32_and_train_like_the_saved_ones(tmp_path):
-    """The loader's parameters can be updated in place: two training steps on
-    a loaded model match the same steps on the model that was saved."""
+    """The loader's parameters are writable float32 views of the loaded
+    model's arena: two training steps on a loaded model match the same steps
+    on the model that was saved."""
     cfg = preset_config("tiny")
     saved = build_model(cfg)
     path = tmp_path / "m.dvcp"
@@ -284,7 +322,8 @@ def test_loaded_parameters_are_owned_writable_float32_and_train_like_the_saved_o
     loaded = load_checkpoint(str(path))
     for name, p in loaded.named_parameters():
         flags = p.data.flags
-        assert (flags.owndata, flags.writeable, flags.c_contiguous) == (True, True, True), name
+        assert p.data.base is loaded.arena, name
+        assert (flags.writeable, flags.c_contiguous) == (True, True), name
         assert p.data.dtype == np.float32, name
     data = make_synthetic(cfg.num_classes, 2, cfg.resolution, seed=3)
     reports = [train_toy(model, data, steps=2, batch_size=8) for model in (saved, loaded)]

@@ -10,7 +10,7 @@ from dualvit import tensor as T
 from dualvit.complexity import count_macs
 from dualvit.data import load_checkpoint, save_checkpoint
 from dualvit.errors import ConfigError, FormatError, InputError
-from dualvit.model import ModelConfig, StageSpec, build_model, preset_config
+from dualvit.model import DualViT, ModelConfig, StageSpec, build_model, preset_config
 
 # published per-stage architecture table: depth, heads, channels, E^x, E^z, patch
 ARCH_TABLE = {
@@ -234,6 +234,33 @@ def test_no_grad_forward_gives_the_same_logits_without_a_graph():
     assert not quiet.requires_grad and quiet._node is None
     assert quiet.data.dtype == recorded.data.dtype
     assert quiet.data.tobytes() == recorded.data.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_astype_lays_each_parameter_out_in_its_arena_slice_in_order(dtype):
+    """A built model holds its float32 parameters in one arena; a cast lays
+    them out in a new one of its dtype, with the same values."""
+    model = build_model(preset_config("tiny"))
+    before = [p.data.copy() for p in model.parameters()]
+    if dtype is not np.float32:
+        model.astype(dtype)
+    arena = model.arena
+    assert arena.dtype == dtype
+    lo = 0
+    for p, want in zip(model.parameters(), before):
+        assert p.data.base is arena and p.data.flags.c_contiguous
+        assert p.data.ctypes.data == arena.ctypes.data + lo * arena.itemsize
+        assert p.data.tobytes() == want.astype(dtype).tobytes()
+        lo += p.data.size
+    assert lo == arena.size
+
+
+def test_build_model_draws_the_values_of_a_build_that_draws_at_once():
+    """``build_model`` puts each weight's draw off until the arena is laid
+    out; the draws run in call order, so they take the same values as a
+    ``DualViT`` built outside it, which draws each weight as it is made."""
+    cfg = preset_config("tiny", seed=4)
+    assert build_model(cfg).arena.tobytes() == DualViT(cfg).arena.tobytes()
 
 
 def test_float64_cast_holds_the_float32_weights_and_no_grads():

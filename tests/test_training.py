@@ -8,23 +8,36 @@ from dualvit import tensor as T
 from dualvit import training
 from dualvit.data import make_synthetic
 from dualvit.errors import ContractError
+from dualvit.blocks import TransformerBlock
 from dualvit.model import DualViT, build_model, preset_config
+from dualvit.nn import Module
 from dualvit.tensor import Tensor
 from dualvit.training import (AdamW, cosine_lr, evaluate, gradcheck,
                               gradcheck_block, train_toy)
 
 
+def _module(*arrays) -> Module:
+    """A module whose parameters are ``arrays``, in order, laid out in one
+    arena of the first array's dtype by ``Module.astype``."""
+    module = Module()
+    for i, a in enumerate(arrays):
+        setattr(module, f"p{i}", Tensor(a, requires_grad=True))
+    return module.astype(arrays[0].dtype if arrays else np.float32)
+
+
 def test_adamw_zero_grad_is_pure_decay():
-    p = Tensor(np.array([2.0, -3.0]), requires_grad=True)
-    opt = AdamW([p], weight_decay=0.05)
+    module = _module(np.array([2.0, -3.0]))
+    p = module.p0
+    opt = AdamW(module, weight_decay=0.05)
     p.grad = np.zeros(2)
     opt.step(0.1)
     np.testing.assert_allclose(p.data, np.array([2.0, -3.0]) * (1 - 0.1 * 0.05))
 
 
 def test_adamw_first_step_is_signed_lr():
-    p = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)
-    opt = AdamW([p], weight_decay=0.0)
+    module = _module(np.array([1.0, 1.0, 1.0]))
+    p = module.p0
+    opt = AdamW(module, weight_decay=0.0)
     p.grad = np.array([0.5, -2.0, 3.0])
     opt.step(0.01)
     # with zero moments the bias-corrected update is lr * g/(|g| + eps)
@@ -44,8 +57,9 @@ def test_adamw_three_step_oracle():
 
     grads = [0.3, -0.7, 0.25]
     expected = reference(1.5, grads, 0.02, 0.9, 0.999, 1e-8, 0.05)
-    p = Tensor(np.array([1.5]), requires_grad=True)
-    opt = AdamW([p], weight_decay=0.05)
+    module = _module(np.array([1.5]))
+    p = module.p0
+    opt = AdamW(module, weight_decay=0.05)
     for g in grads:
         p.grad = np.array([g])
         opt.step(0.02)
@@ -57,12 +71,13 @@ def test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte():
     three steps equal the formula evaluated out of place, and the flat moments
     and the parameter arrays are updated where they are."""
     rng = np.random.default_rng(0)
-    params = [Tensor(rng.standard_normal(shape, dtype=np.float32), requires_grad=True)
-              for shape in [(7,), (16, 24), (300, 301)]]
+    module = _module(*(rng.standard_normal(shape, dtype=np.float32)
+                       for shape in [(7,), (16, 24), (300, 301)]))
+    params = module.parameters()
     ref_p = [p.data.copy() for p in params]
     ref_m = [np.zeros_like(p) for p in ref_p]
     ref_v = [np.zeros_like(p) for p in ref_p]
-    opt = AdamW(params, weight_decay=0.05)
+    opt = AdamW(module, weight_decay=0.05)
     arrays = [opt.m, opt.v, *(p.data for p in params)]
     for t, lr in enumerate([1e-2, 5e-3, 1e-3], start=1):
         for i, p in enumerate(params):
@@ -81,37 +96,15 @@ def test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte():
     assert all(a is b for a, b in zip([opt.m, opt.v, *(p.data for p in params)], arrays))
 
 
-def test_adamw_moves_each_parameter_into_its_arena_slice_in_order():
-    model = build_model(preset_config("tiny"))
-    before = [p.data.copy() for p in model.parameters()]
-    opt = AdamW(model.parameters())
-    lo = 0
-    for p, want in zip(model.parameters(), before):
-        assert p.data.base is opt.arena and p.data.flags.c_contiguous
-        assert p.data.ctypes.data == opt.arena.ctypes.data + lo * opt.arena.itemsize
-        assert p.data.tobytes() == want.tobytes()
-        lo += p.data.size
-    assert lo == opt.arena.size == opt.m.size == opt.v.size
-
-
-def test_adamw_refuses_mixed_dtypes_and_a_repeated_parameter():
-    a = Tensor(np.zeros(2, np.float32), requires_grad=True)
-    b = Tensor(np.zeros(3, np.float64), requires_grad=True)
-    with pytest.raises(ContractError, match="dtype"):
-        AdamW([a, b])
-    with pytest.raises(ContractError, match="twice"):
-        AdamW([a, a])
-
-
 def test_adamw_refuses_a_parameter_rebound_after_construction():
     model = build_model(preset_config("tiny"))
-    opt = AdamW(model.parameters())
+    opt = AdamW(model)
     model.astype(np.float64)
     with pytest.raises(ContractError, match="rebound"):
         opt.step(1e-3)
     assert opt.step_count == 0
-    fresh = AdamW(model.parameters())
-    assert fresh.arena.dtype == np.float64
+    fresh = AdamW(model)
+    assert fresh.arena is model.arena and fresh.arena.dtype == np.float64
     p = model.parameters()[0]
     before = p.data.copy()
     p.grad = np.ones_like(p.data)
@@ -120,7 +113,7 @@ def test_adamw_refuses_a_parameter_rebound_after_construction():
 
 
 def test_adamw_over_no_parameters_steps_as_a_no_op():
-    opt = AdamW([])
+    opt = AdamW(_module())
     opt.step(1e-3)
     opt.zero_grad()
     assert opt.arena.size == 0 and opt.step_count == 1
@@ -131,9 +124,10 @@ def test_adamw_none_grad_updates_like_an_explicit_zero_grad_byte_for_byte():
     shapes = [(5,), (300, 301), (3, 4)]
     runs = []
     for missing in (None, np.zeros(shapes[1], np.float32)):
-        params = [Tensor(np.arange(math.prod(s), dtype=np.float32).reshape(s) / 7,
-                         requires_grad=True) for s in shapes]
-        opt = AdamW(params)
+        module = _module(*(np.arange(math.prod(s), dtype=np.float32).reshape(s) / 7
+                           for s in shapes))
+        params = module.parameters()
+        opt = AdamW(module)
         for lr in (1e-2, 1e-3):
             params[0].grad = np.full(shapes[0], 0.5, np.float32)
             params[1].grad = missing
@@ -141,6 +135,14 @@ def test_adamw_none_grad_updates_like_an_explicit_zero_grad_byte_for_byte():
             opt.step(lr)
         runs.append((opt.arena.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
     assert runs[0] == runs[1]
+
+
+def test_adamw_refuses_a_block_never_laid_out_in_an_arena():
+    block = TransformerBlock(8, 2, 4, np.random.default_rng(0))
+    with pytest.raises(ContractError, match="TransformerBlock has no arena: lay it out"):
+        AdamW(block)
+    opt = AdamW(block.astype(np.float32))
+    assert opt.arena is block.arena and opt.m.shape == opt.v.shape == block.arena.shape
 
 
 def test_cosine_endpoints_and_midpoint():
@@ -259,6 +261,20 @@ def test_short_training_reduces_loss_and_reports_accuracy():
     assert report.losses[-1] < report.losses[0]
     assert 0.0 <= report.final_accuracy <= 1.0
     assert report.final_accuracy == pytest.approx(evaluate(model, data))
+
+
+def test_train_toy_trains_the_model_arena_where_it_is():
+    """Two ``train_toy`` calls update the model's own arena: it stays the same
+    object, and every parameter stays a view of it."""
+    cfg = preset_config("tiny")
+    model = build_model(cfg)
+    data = make_synthetic(cfg.num_classes, 2, cfg.resolution, seed=2)
+    arena, before = model.arena, model.arena.copy()
+    for seed in (0, 1):
+        train_toy(model, data, steps=2, batch_size=8, seed=seed)
+        assert model.arena is arena
+        assert all(p.data.base is arena for p in model.parameters())
+    assert not np.array_equal(arena, before)
 
 
 @pytest.mark.parametrize("lr", [1e-3, 1e10], ids=["normal", "abort"])
