@@ -14,8 +14,8 @@ DVCP v2 (checkpoint):
 Only v2 is read: the v1 CRC left the manifest unchecked. The payload is the
 bytes of the model's parameter arena (``Module.astype``): saving writes it once
 under the CRC. Loading checks the CRC through a fixed 1 MiB buffer, then reads
-the payload in one read into the arena of a model built without drawing its
-random init or filling its arena, since the payload overwrites every parameter.
+the payload in one read into the arena of a model built under
+``nn.deferred_init(fill=False)``, as the payload overwrites every parameter.
 
 Both round trips are bit-exact. Synthetic images are quantized to the
 byte grid so that a DVDS round trip reproduces them exactly.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError
 from .model import DualViT, ModelConfig, build_model
-from .nn import no_init
+from .nn import deferred_init
 
 DVDS_MAGIC = b"DVDS"
 DVCP_MAGIC = b"DVCP"
@@ -242,13 +242,13 @@ def _check_manifest(manifest) -> None:
 def load_checkpoint(path: str) -> DualViT:
     """Rebuild the model described by the checkpoint's config echo.
 
-    The model is built without drawing its random init: a model is returned
-    only once the checks below have overwritten every parameter from the
-    payload.
+    Built under ``deferred_init(fill=False)``, which ``build_model``'s own scope
+    keeps, the model draws no random init: it is returned only once the checks
+    below have overwritten every parameter from the payload.
     """
     with open(path, "rb") as fh:
         manifest, count = _read_checkpoint(fh)
-        with no_init():
+        with deferred_init(fill=False):
             model = build_model(ModelConfig.from_dict(manifest["config"]),
                                 variant=manifest["variant"])
         params = list(model.named_parameters())

@@ -26,7 +26,7 @@ from . import tensor as T
 from .blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed, SemanticTokens,
                      SemanticTransition)
 from .errors import ConfigError, FormatError, InputError, allocation_refused_as
-from .nn import LayerNorm, Linear, Module, init_in_arena, trunc_normal
+from .nn import LayerNorm, Linear, Module, deferred_init, trunc_normal
 from .tensor import Tensor
 
 
@@ -204,6 +204,11 @@ class DualViT(Module):
         self.head = Linear(in_ch, config.num_classes, rng)
         self.astype(T.DEFAULT_DTYPE)
 
+    def __reduce__(self):
+        """Pickle and ``copy.deepcopy`` as config, variant and arena: a copy is rebuilt
+        around its own arena of the same dtype and bytes, and holds no grads."""
+        return _rebuilt, (self.config, self.variant, self.arena)
+
     def named_parameters(self, prefix: str = ""):
         # explicit ordering: stable paths for checkpoints and cost breakdowns
         yield prefix + "z0", self.z0
@@ -256,6 +261,13 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
     return T.add(t, zeros)
 
 
+def _rebuilt(config: ModelConfig, variant: str, arena: np.ndarray) -> DualViT:
+    with deferred_init(fill=False):
+        model = DualViT(config, variant).astype(arena.dtype)
+    model.arena[...] = arena
+    return model
+
+
 def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
-    with allocation_refused_as(ConfigError, "config"), init_in_arena():
+    with allocation_refused_as(ConfigError, "config"), deferred_init():
         return DualViT(config, variant=variant)

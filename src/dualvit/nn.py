@@ -20,56 +20,42 @@ from .errors import ConfigError
 from .tensor import Tensor
 
 
-_init_enabled = True
-_deferred: list | None = None  # (placeholder, rng) draws waiting for Module.astype
+# None: draw at once; a list: the (placeholder, rng) draws put off; False: draw nothing
+_pending: list | bool | None = None
 
 
 @contextmanager
-def no_init() -> Iterator[None]:
-    """Within this block, ``trunc_normal`` draws nothing and returns a
-    placeholder, and ``Module.astype`` copies no values into its arena; nests.
-
-    Only for a build whose every parameter is overwritten before use, as
-    ``data.load_checkpoint`` does.
-    """
-    global _init_enabled
-    saved, _init_enabled = _init_enabled, False
+def deferred_init(fill: bool = True) -> Iterator[None]:
+    """Within this block ``trunc_normal`` returns a placeholder for
+    ``Module.astype`` to lay out. With ``fill``, each put-off draw then runs, in
+    call order, into its arena slice, taking the values an eager draw would; no
+    drawn array is copied and freed (under glibc, freed drawn arrays stayed
+    resident and raised S@224 inference peak RSS by ~20 MB). Without ``fill``
+    the arena is neither drawn nor copied into: only for a build whose every
+    parameter is overwritten before use, as ``data.load_checkpoint`` does.
+    Nests; a scope opened inside one without ``fill`` draws nothing either."""
+    global _pending
+    saved, _pending = _pending, [] if fill and _pending is not False else False
     try:
         yield
     finally:
-        _init_enabled = saved
-
-
-@contextmanager
-def init_in_arena() -> Iterator[None]:
-    """Within this block, ``trunc_normal`` returns a placeholder and puts its
-    draw off until ``Module.astype`` lays the parameter out. The draws then
-    fill the arena in call order, so they take the same values from the
-    generator. No drawn array is copied and freed: under glibc, freed drawn
-    arrays stayed resident and raised S@224 inference peak RSS by ~20 MB."""
-    global _deferred
-    saved, _deferred = _deferred, []
-    try:
-        yield
-    finally:
-        _deferred = saved
+        _pending = saved
 
 
 def trunc_normal(rng: np.random.Generator, shape):
     """Normal(0, 0.02) float32 samples rejected outside ±2 std. Deterministic under rng.
 
-    Under ``no_init()`` or ``init_in_arena()`` it returns a read-only zero
-    placeholder that allocates nothing, for ``Module.astype`` to replace;
-    under ``no_init()`` it leaves ``rng`` alone.
+    Under ``deferred_init`` it returns a read-only zero placeholder that
+    allocates nothing and leaves ``rng`` alone, for ``Module.astype`` to replace.
     """
-    if _init_enabled and _deferred is None:
+    if _pending is None:
         out = np.empty(shape, dtype=T.DEFAULT_DTYPE)
         _fill_trunc_normal(rng, out)
         return out
     placeholder = np.ndarray(shape, T.DEFAULT_DTYPE, T.DEFAULT_DTYPE(0).tobytes(),
                              strides=(0,) * len(shape))
-    if _init_enabled:
-        _deferred.append((placeholder, rng))
+    if _pending is not False:
+        _pending.append((placeholder, rng))
     return placeholder
 
 
@@ -111,17 +97,17 @@ class Module:
         """Lay every parameter out in one new flat ``arena`` of ``dtype``, in
         ``named_parameters`` order, dropping its grad; return the module. Each
         ``p.data`` becomes the C-contiguous view of its slice, holding the bits
-        ``p.data.astype(dtype)`` would, or the draw ``init_in_arena`` put off."""
+        ``p.data.astype(dtype)`` would or the draw ``deferred_init`` put off."""
         params = self.parameters()
         self.arena = np.empty(sum(p.data.size for p in params), dtype)
-        draws = _deferred or []
+        draws = _pending or []
         slots = dict.fromkeys(id(out) for out, _ in draws)
         lo = 0
         for p in params:
             view = self.arena[lo:lo + p.data.size].reshape(p.data.shape)
             if id(p.data) in slots:
                 slots[id(p.data)] = view
-            elif _init_enabled:
+            elif _pending is not False:
                 view[...] = p.data
             p.data = view
             p.zero_grad()

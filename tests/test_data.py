@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import struct
 import zlib
 
@@ -9,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvit import data as D
+from dualvit import nn
+from dualvit import tensor as T
 from dualvit.data import (Dataset, class_means, load_checkpoint, load_packed_dataset,
                           make_synthetic, save_checkpoint, save_packed_dataset)
 from dualvit.errors import ConfigError, ContractError, FormatError
 from dualvit.model import build_model, preset_config
-from dualvit.training import _randomize, train_toy
+from dualvit.training import AdamW, _randomize, train_toy
 
 
 def test_synthetic_is_balanced_and_in_range():
@@ -330,6 +334,69 @@ def test_loaded_parameters_are_owned_writable_float32_and_train_like_the_saved_o
     assert reports[0].losses == reports[1].losses
     for (name, p), (_, q) in zip(saved.named_parameters(), loaded.named_parameters()):
         assert p.data.tobytes() == q.data.tobytes(), name
+
+
+def test_load_draws_no_init_though_build_model_opens_a_filling_scope_inside(
+        tmp_path, monkeypatch):
+    """``load_checkpoint``'s scope that draws nothing stays so inside the
+    filling scope ``build_model`` opens."""
+    path = tmp_path / "m.dvcp"
+    saved = build_model(preset_config("tiny", seed=5))
+    save_checkpoint(saved, str(path))
+
+    def refuse(rng, out):
+        raise AssertionError("a load drew a random init")
+    monkeypatch.setattr(nn, "_fill_trunc_normal", refuse)
+    assert load_checkpoint(str(path)).arena.tobytes() == saved.arena.tobytes()
+    assert nn._pending is None
+
+
+def test_a_build_that_raises_midway_restores_the_init_mode():
+    """A build that fails drops its put-off draws with its scope: init goes
+    back to eager draws, or to the enclosing scope that draws nothing."""
+    with pytest.raises(ConfigError, match="variant"):
+        build_model(preset_config("tiny"), variant="Z")
+    assert nn._pending is None
+    with nn.deferred_init(fill=False):
+        with pytest.raises(ConfigError, match="variant"):
+            build_model(preset_config("tiny"), variant="Z")
+        assert nn._pending is False
+    assert nn._pending is None
+
+
+COPIERS = {"deepcopy": copy.deepcopy, "pickle": lambda m: pickle.loads(pickle.dumps(m))}
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+@pytest.mark.parametrize("source", ["built", "loaded", "float64"])
+def test_a_copied_model_holds_its_own_arena_and_saves_and_steps_like_the_original(
+        tmp_path, source, copier):
+    """A deep copy or unpickled model has every parameter as a view of its
+    own arena, of the original's dtype and bytes, and no grads."""
+    model = build_model(preset_config("tiny", seed=3))
+    if source == "loaded":
+        save_checkpoint(model, str(tmp_path / "m.dvcp"))
+        model = load_checkpoint(str(tmp_path / "m.dvcp"))
+    elif source == "float64":
+        model.astype(np.float64)
+    images = np.random.default_rng(3).random((2, 32, 32, 3)).astype(np.float32)
+    labels = np.array([0, 1])
+    T.cross_entropy_with_logits(model(images), labels).backward()
+    twin = COPIERS[copier](model)
+    for name, p in twin.named_parameters():
+        assert p.data.base is twin.arena and p.grad is None, name
+    assert twin.arena.dtype == model.arena.dtype
+    assert twin.arena.tobytes() == model.arena.tobytes()
+    assert not np.shares_memory(twin.arena, model.arena)
+    assert twin(images).data.tobytes() == model(images).data.tobytes()
+    for m, name in ((model, "a.dvcp"), (twin, "b.dvcp")):
+        save_checkpoint(m, str(tmp_path / name))
+    assert (tmp_path / "a.dvcp").read_bytes() == (tmp_path / "b.dvcp").read_bytes()
+    for m in (model, twin):
+        m.zero_grad()
+        T.cross_entropy_with_logits(m(images), labels).backward()
+        AdamW(m).step(1e-3)
+    assert twin.arena.tobytes() == model.arena.tobytes()
 
 
 @pytest.fixture(scope="module")
