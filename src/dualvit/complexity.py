@@ -1,7 +1,8 @@
 """Analytic parameter and MAC accounting for built models.
 
 Each layer and block reports its own MACs (its ``macs`` method, built on the
-three sublayer formulas below); ``count_macs`` walks a model and sums them per path.
+three sublayer formulas below); ``count_macs`` reports them with each child's exact
+parameter count, per path of ``model.named_children()``, so params sum to the model's.
 
 Conventions (the published tables report "GFLOPs"; here 1 GFLOP == 1e9 MACs):
 - linear layer on n tokens: n * d_in * d_out MACs, bias adds excluded
@@ -9,9 +10,6 @@ Conventions (the published tables report "GFLOPs"; here 1 GFLOP == 1e9 MACs):
 - LayerNorm, GELU, softmax and residual adds are excluded (element-wise,
   <2% of totals at these shapes)
 - MACs are reported per single image (batch size 1)
-
-Parameter totals come from an exact walk over the model's parameter registry,
-so the breakdown always sums to the brute-force count.
 """
 
 from __future__ import annotations
@@ -19,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .tensor import Tensor
 
 if TYPE_CHECKING:
     from .model import DualViT
@@ -68,21 +68,13 @@ def ffn_macs(n: int, dim: int, ratio: int) -> int:
 
 
 def count_macs(model: DualViT) -> CostReport:
-    """Analytic MACs (and params) for one forward pass at the model's resolution."""
+    """Analytic MACs and params of one forward at the model's resolution, per child."""
     cfg = model.config
-    entries: list[tuple[str, int, int]] = [("z0", model.z0.data.size, 0)]
-    if cfg.pos_embed:
-        entries.append(("pos_embed", model.pos_embed.data.size, 0))
+    macs = {model.head: model.head.macs(1)}
     for i, n in enumerate(cfg.token_counts()):
-        embed = model.patch_embeds[i]
-        entries.append((f"stages.{i}.patch_embed", embed.num_params(), embed.proj.macs(n)))
-        if i > 0:
-            tr = model.transitions[i - 1]
-            entries.append((f"stages.{i}.transition", tr.num_params(), tr.proj.macs(cfg.m)))
-        for j, blk in enumerate(model.stage_blocks[i]):
-            entries.append((f"stages.{i}.blocks.{j}", blk.num_params(), blk.macs(n, cfg.m)))
-    entries.append(("head_norm", model.head_norm.num_params(), 0))
-    entries.append(("head", model.head.num_params(), model.head.macs(1)))
-    return CostReport(params=sum(p for _, p, _ in entries),
-                      macs=sum(m for _, _, m in entries),
-                      breakdown=entries)
+        macs[model.patch_embeds[i]] = model.patch_embeds[i].proj.macs(n)
+        macs.update((blk, blk.macs(n, cfg.m)) for blk in model.stage_blocks[i])
+    macs.update((tr, tr.proj.macs(cfg.m)) for tr in model.transitions)
+    entries = [(path, child.data.size if isinstance(child, Tensor) else child.num_params(),
+                macs.get(child, 0)) for path, child in model.named_children()]
+    return CostReport(sum(p for _, p, _ in entries), sum(m for _, _, m in entries), entries)

@@ -32,7 +32,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, FormatError
+from .errors import ConfigError, FormatError
 from .model import DualViT, ModelConfig, build_model
 from .nn import deferred_init
 
@@ -152,16 +152,13 @@ def load_packed_dataset(path: str) -> Dataset:
 
 def save_checkpoint(model: DualViT, path: str) -> None:
     params = list(model.named_parameters())
-    for name, p in params:
-        if p.data.base is not model.arena:
-            raise ContractError(f"parameter {name!r} was rebound out of the model's arena")
     manifest = json.dumps({
         "config": model.config.to_dict(),
         "variant": model.variant,
         "entries": [{"name": name, "shape": list(p.data.shape)} for name, p in params],
     }).encode("utf-8")
     head = DVCP_MAGIC + struct.pack("<II", DVCP_VERSION, len(manifest)) + manifest
-    payload = np.asarray(model.arena, "<f4")
+    payload = np.asarray(model.checked_arena(), "<f4")
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(payload)

@@ -205,24 +205,24 @@ class DualViT(Module):
         self.astype(T.DEFAULT_DTYPE)
 
     def __reduce__(self):
-        """Pickle and ``copy.deepcopy`` as config, variant and arena: a copy is rebuilt
-        around its own arena of the same dtype and bytes, and holds no grads."""
-        return _rebuilt, (self.config, self.variant, self.arena)
+        """Pickle and ``copy.deepcopy`` as config, variant and ``checked_arena()``, which
+        refuses a rebound parameter: a copy gets its own arena's dtype and bytes, no grads."""
+        return _rebuilt, (self.config, self.variant, self.checked_arena())
 
-    def named_parameters(self, prefix: str = ""):
-        # explicit ordering: stable paths for checkpoints and cost breakdowns
-        yield prefix + "z0", self.z0
+    def named_children(self):
+        """The model's paths in manifest order: z0, pos_embed, embeds, transitions, blocks, head."""
+        yield "z0", self.z0
         if self.config.pos_embed:
-            yield prefix + "pos_embed", self.pos_embed
+            yield "pos_embed", self.pos_embed
         for i, pe in enumerate(self.patch_embeds):
-            yield from pe.named_parameters(f"{prefix}stages.{i}.patch_embed.")
-        for i, tr in enumerate(self.transitions):
-            yield from tr.named_parameters(f"{prefix}stages.{i + 1}.transition.")
+            yield f"stages.{i}.patch_embed", pe
+        for i, tr in enumerate(self.transitions, 1):
+            yield f"stages.{i}.transition", tr
         for i, blocks in enumerate(self.stage_blocks):
             for j, blk in enumerate(blocks):
-                yield from blk.named_parameters(f"{prefix}stages.{i}.blocks.{j}.")
-        yield from self.head_norm.named_parameters(prefix + "head_norm.")
-        yield from self.head.named_parameters(prefix + "head.")
+                yield f"stages.{i}.blocks.{j}", blk
+        yield "head_norm", self.head_norm
+        yield "head", self.head
 
     def features(self, images) -> tuple[FeatureMap, SemanticTokens]:
         """Run the stage pipeline, returning final pixel and semantic tokens."""

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .complexity import ffn_macs, mha_macs
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 
@@ -75,13 +75,18 @@ class Module:
 
     arena: np.ndarray | None = None  # the flat parameter array, made by astype
 
+    def named_children(self) -> Iterator[tuple[str, Tensor | Module]]:
+        """Each ``Tensor`` and ``Module`` attribute by name, in ``vars`` order: the
+        one level of the walk that a container holding lists overrides."""
+        return ((k, v) for k, v in vars(self).items() if isinstance(v, (Tensor, Module)))
+
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        for name, val in vars(self).items():
-            if isinstance(val, Tensor):
-                if val.requires_grad:
-                    yield prefix + name, val
-            elif isinstance(val, Module):
+        """Each grad-requiring ``Tensor`` by dotted path, depth first over ``named_children``."""
+        for name, val in self.named_children():
+            if isinstance(val, Module):
                 yield from val.named_parameters(f"{prefix}{name}.")
+            elif val.requires_grad:
+                yield prefix + name, val
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -92,6 +97,12 @@ class Module:
 
     def num_params(self) -> int:
         return sum(p.data.size for p in self.parameters())
+
+    def checked_arena(self) -> np.ndarray:
+        for name, p in self.named_parameters():
+            if p.data.base is not self.arena:
+                raise ContractError(f"parameter {name!r} was rebound out of the model's arena")
+        return self.arena
 
     def astype(self, dtype) -> "Module":
         """Lay every parameter out in one new flat ``arena`` of ``dtype``, in

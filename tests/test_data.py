@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dualvit import data as D
 from dualvit import nn
 from dualvit import tensor as T
+from dualvit.complexity import count_macs
 from dualvit.data import (Dataset, class_means, load_checkpoint, load_packed_dataset,
                           make_synthetic, save_checkpoint, save_packed_dataset)
 from dualvit.errors import ConfigError, ContractError, FormatError
@@ -274,6 +275,30 @@ def test_save_refuses_a_parameter_rebound_out_of_the_arena(tmp_path):
     assert load_checkpoint(str(path)).head.bias.data.tobytes() == model.head.bias.data.tobytes()
 
 
+TINY_ROWS = ["z0", "pos_embed",
+             "stages.0.patch_embed", "stages.1.patch_embed", "stages.2.patch_embed",
+             "stages.3.patch_embed", "stages.1.transition", "stages.2.transition",
+             "stages.3.transition", "stages.0.blocks.0", "stages.1.blocks.0",
+             "stages.2.blocks.0", "stages.3.blocks.0", "head_norm", "head"]
+
+
+def test_cost_rows_parameters_and_checkpoint_entries_follow_one_order(tmp_path):
+    """The cost rows are the model's children in manifest order, each parameter
+    lies under its row's path with the rows in order, and the checkpoint lists
+    the parameters in that order."""
+    model = build_model(preset_config("tiny"))
+    rows = [path for path, _, _ in count_macs(model).breakdown]
+    assert rows == TINY_ROWS
+    assert rows == [path for path, _ in model.named_children()]
+    names = [name for name, _ in model.named_parameters()]
+    row_of = [next(i for i, row in enumerate(rows) if name == row or name.startswith(row + "."))
+              for name in names]
+    assert row_of == sorted(row_of) and set(row_of) == set(range(len(rows)))
+    save_checkpoint(model, str(tmp_path / "m.dvcp"))
+    manifest, _ = _split_dvcp((tmp_path / "m.dvcp").read_bytes())
+    assert [entry["name"] for entry in json.loads(manifest)["entries"]] == names
+
+
 @pytest.mark.parametrize("change, side", [(-4, "shorter"), (4, "longer")])
 def test_payload_one_float_off_the_manifest_is_refused(tmp_path, change, side):
     """A payload one float short or long, under a valid CRC, is refused: the
@@ -397,6 +422,16 @@ def test_a_copied_model_holds_its_own_arena_and_saves_and_steps_like_the_origina
         T.cross_entropy_with_logits(m(images), labels).backward()
         AdamW(m).step(1e-3)
     assert twin.arena.tobytes() == model.arena.tobytes()
+
+
+@pytest.mark.parametrize("copier", sorted(COPIERS))
+def test_copying_refuses_a_parameter_rebound_out_of_the_arena(copier):
+    """A copy is rebuilt from the arena, which does not hold a rebound
+    parameter's values: copying is refused, as saving is."""
+    model = build_model(preset_config("tiny"))
+    model.head.bias.data = model.head.bias.data + 1.0
+    with pytest.raises(ContractError, match="'head.bias' was rebound"):
+        COPIERS[copier](model)
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import os
 import time
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvit import tensor as T
+from dualvit.blocks import DUAL_VARIANTS
 from dualvit.complexity import count_macs
 from dualvit.data import load_checkpoint, save_checkpoint
 from dualvit.errors import ConfigError, FormatError, InputError
 from dualvit.model import DualViT, ModelConfig, StageSpec, build_model, preset_config
+from dualvit.nn import Module
 
 # published per-stage architecture table: depth, heads, channels, E^x, E^z, patch
 ARCH_TABLE = {
@@ -278,3 +281,20 @@ def test_float64_cast_holds_the_float32_weights_and_no_grads():
         np.testing.assert_array_equal(p.data, q.data, err_msg=name)
     # numpy images follow the parameters' float type
     assert model(images.astype(np.float32)).data.dtype == np.float64
+
+
+def _module_paths(module, prefix=""):
+    for name, child in module.named_children():
+        if isinstance(child, Module):
+            yield id(child), prefix + name
+            yield from _module_paths(child, f"{prefix}{name}.")
+
+
+@pytest.mark.parametrize("variant", DUAL_VARIANTS)
+def test_perfbench_module_paths_agree_with_the_walk(monkeypatch, variant):
+    """perfbench's tracer spells the module paths itself; every module must get
+    the path that a walk over ``named_children`` gives it."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    from tracer import module_paths
+    model = build_model(preset_config("tiny"), variant=variant)
+    assert module_paths(model) == dict(_module_paths(model))
