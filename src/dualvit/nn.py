@@ -3,12 +3,13 @@
 Attention takes queries and one key/value source, from which both keys and
 values are projected: self-attention when the source is the queries,
 cross-attention otherwise. All four attention projections are square d×d with
-bias; heads are realized by reshaping the d-wide projection into (h, d_h).
+bias, each one ``T.linear`` node. Between them one ``T.attention`` node realizes
+the heads as views of the d-wide projections reshaped to (h, d_h); it keeps only
+the projections and recomputes the probabilities in the backward.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -28,9 +29,10 @@ _pending: list | bool | None = None
 def deferred_init(fill: bool = True) -> Iterator[None]:
     """Within this block ``trunc_normal`` returns a placeholder for
     ``Module.astype`` to lay out. With ``fill``, each put-off draw then runs, in
-    call order, into its arena slice, taking the values an eager draw would; no
-    drawn array is copied and freed (under glibc, freed drawn arrays stayed
-    resident and raised S@224 inference peak RSS by ~20 MB). Without ``fill``
+    call order, into its arena slice, taking the values an eager draw would; in
+    a float32 arena no drawn array is copied and freed (under glibc, freed drawn
+    arrays stayed resident and raised S@224 inference peak RSS by ~20 MB), any
+    other dtype takes a cast of each float32 draw. Without ``fill``
     the arena is neither drawn nor copied into: only for a build whose every
     parameter is overwritten before use, as ``data.load_checkpoint`` does.
     Nests; a scope opened inside one without ``fill`` draws nothing either."""
@@ -60,14 +62,18 @@ def trunc_normal(rng: np.random.Generator, shape):
 
 
 def _fill_trunc_normal(rng: np.random.Generator, out: np.ndarray) -> None:
-    rng.standard_normal(dtype=T.DEFAULT_DTYPE, out=out)
-    flat = out.reshape(-1)
+    """Write into ``out`` the float32 draws ``trunc_normal`` returns, cast to ``out``'s dtype."""
+    draw = out if out.dtype == T.DEFAULT_DTYPE else np.empty(out.shape, T.DEFAULT_DTYPE)
+    rng.standard_normal(dtype=T.DEFAULT_DTYPE, out=draw)
+    flat = draw.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > 2.0)
     while idx.size:
         redraw = rng.standard_normal(idx.size, dtype=T.DEFAULT_DTYPE)
         flat[idx] = redraw
         idx = idx[np.abs(redraw) > 2.0]
-    out *= 0.02
+    draw *= 0.02
+    if draw is not out:
+        out[...] = draw
 
 
 class Module:
@@ -108,11 +114,22 @@ class Module:
         """Lay every parameter out in one new flat ``arena`` of ``dtype``, in
         ``named_parameters`` order, dropping its grad; return the module. Each
         ``p.data`` becomes the C-contiguous view of its slice, holding the bits
-        ``p.data.astype(dtype)`` would or the draw ``deferred_init`` put off."""
+        ``p.data.astype(dtype)`` would or the draw ``deferred_init`` put off.
+        Other modules' put-off draws stay pending; one that an earlier call made
+        from a generator this module's draws also use must be laid out first,
+        else the values would not be an eager draw's (``ContractError``)."""
         params = self.parameters()
-        self.arena = np.empty(sum(p.data.size for p in params), dtype)
         draws = _pending or []
-        slots = dict.fromkeys(id(out) for out, _ in draws)
+        mine = {id(p.data) for p in params}
+        others: set[int] = set()  # generators of other modules' draws met so far
+        for out, rng in draws:
+            if id(out) not in mine:
+                others.add(id(rng))
+            elif id(rng) in others:
+                raise ContractError("another module built earlier in this deferred_init "
+                                    "scope draws from the same generator: cast it first")
+        self.arena = np.empty(sum(p.data.size for p in params), dtype)
+        slots = {id(out): None for out, _ in draws if id(out) in mine}
         lo = 0
         for p in params:
             view = self.arena[lo:lo + p.data.size].reshape(p.data.shape)
@@ -124,8 +141,9 @@ class Module:
             p.zero_grad()
             lo += view.size
         for out, rng in draws:
-            _fill_trunc_normal(rng, slots[id(out)])
-        draws.clear()
+            if id(out) in slots:
+                _fill_trunc_normal(rng, slots[id(out)])
+        draws[:] = [d for d in draws if id(d[0]) not in slots]
         return self
 
 
@@ -135,7 +153,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(d_out, dtype=T.DEFAULT_DTYPE), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.linear(x, self.weight, self.bias)
 
     def macs(self, n: int) -> int:
         """MACs on ``n`` tokens; the bias add is excluded."""
@@ -160,33 +178,17 @@ class MultiHeadAttention(Module):
             raise ConfigError(f"channel dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.q_proj = Linear(dim, dim, rng)
         self.k_proj = Linear(dim, dim, rng)
         self.v_proj = Linear(dim, dim, rng)
         self.o_proj = Linear(dim, dim, rng)
 
-    def _split_heads(self, x: Tensor, axes=(0, 2, 1, 3)) -> Tensor:
-        """(B, n, d) -> (B, heads, n, d_h); axes (0, 2, 3, 1) give (B, heads, d_h, n)."""
-        b, n, _ = x.shape
-        return T.transpose(T.reshape(x, (b, n, self.heads, self.head_dim)), axes)
-
     def __call__(self, q: Tensor, kv: Tensor) -> Tensor:
-        b, n_q, _ = q.shape
-        weights = self.attention_weights(q, kv)
-        mixed = T.matmul(weights, self._split_heads(self.v_proj(kv)))
-        merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n_q, self.dim))
-        return self.o_proj(merged)
+        mixed = T.attention(self.q_proj(q), self.k_proj(kv), self.v_proj(kv), self.heads)
+        return self.o_proj(mixed)
 
     def macs(self, n_q: int, n_kv: int) -> int:
         return mha_macs(n_q, n_kv, self.dim)
-
-    def attention_weights(self, q: Tensor, k: Tensor) -> Tensor:
-        """Per-head attention matrix (B, heads, n_q, n_kv); rows sum to 1."""
-        qh = self._split_heads(self.q_proj(q))
-        kh_t = self._split_heads(self.k_proj(k), (0, 2, 3, 1))
-        scores = T.scale(T.matmul(qh, kh_t), 1.0 / math.sqrt(self.head_dim))
-        return T.softmax_lastdim(scores)
 
 
 class FeedForward(Module):

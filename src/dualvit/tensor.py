@@ -28,9 +28,22 @@ allowed: the second gets a copy); never an array that the forward pass or
 another rule still reads. A leaf without a ``grad`` takes its buffer as its
 ``grad``; a leaf that has one adds the buffer into it.
 
-One op is composite: ``feedforward`` runs ``matmul``, ``add`` and ``gelu``
-under ``no_grad`` and records a single node that keeps only its input and
-pre-activation; its backward recomputes GELU from the pre-activation.
+Three ops are composite: each records one node for what would be several
+primitive nodes, and keeps less than they would.
+
+- ``linear`` keeps its input and weight, as ``matmul`` would; the bias is
+  added in place into the GEMM's output.
+- ``attention`` keeps only ``q``, ``k`` and ``v``, not the (B, heads, n_q,
+  n_kv) probabilities: its backward recomputes them from ``q`` and ``k``.
+- ``feedforward`` keeps only its input and pre-activation; its backward
+  recomputes GELU from the pre-activation.
+
+Their forward GEMMs run through ``matmul`` under ``no_grad``, so whatever
+replaces ``matmul`` to count MACs sees every forward GEMM once. Their
+backwards, the recomputed score GEMM included, use plain numpy ``@`` and never
+``matmul``, so such a count includes no backward work. Each takes every value
+and gradient with the same numpy operations, in the same order, as its
+primitive ops would, so results are byte-identical to theirs.
 
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
@@ -281,15 +294,24 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     """Numerically stabilized softmax along the last axis."""
     if a.data.ndim == 0 or a.shape[-1] < 1:
         raise DimensionError(f"softmax needs a non-empty last dimension, got {a.shape}")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(a.data)
+    return _make(out, (a,), lambda g: (_softmax_grad(g, out),))
 
-    def backward(g: np.ndarray):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
 
-    return _make(out, (a,), backward)
+def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``x`` along the last axis, shifted by the row maximum, written
+    into ``out``: a fresh array when ``None``, ``x`` itself to run in place."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``g`` pulled back through the softmax whose output is ``p``, as a fresh array."""
+    out = g - (g * p).sum(axis=-1, keepdims=True)
+    out *= p
+    return out
 
 
 def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -384,6 +406,89 @@ def gelu(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # composite differentiable ops
 # ---------------------------------------------------------------------------
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Token-wise ``x w + b`` as one node, the bias added in place into the GEMM's
+    output. The GEMM runs through ``matmul`` under ``no_grad``; the backward
+    takes its gradients with plain numpy, byte for byte as ``matmul`` and
+    ``add`` would."""
+    if w.data.ndim != 2 or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear needs a 2-d weight and a matching bias, got "
+                             f"weight {w.shape}, bias {b.shape}")
+    with no_grad():
+        out = matmul(x, w).data
+    out += b.data
+    xd = x.data if w.requires_grad else None
+    wd = w.data if x.requires_grad else None
+
+    def backward(g: np.ndarray):
+        gw = None
+        if xd is not None:  # one GEMM over all leading axes
+            gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        # the bias gradient is full-size: the tape sums it down
+        return (g @ wd.T if wd is not None else None, gw, g)
+
+    return _make(out, (x, w, b), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention of (B, n, d) projections as one node.
+
+    Heads are views: ``q``, ``k`` and ``v`` reshaped to (B, n, heads, d/heads)
+    and transposed head-major. The two GEMMs (scores and value mix) run
+    through ``matmul`` under ``no_grad``; the scale and softmax run in place
+    in the score buffer, and the heads are merged back into a fresh (B, n_q,
+    d) array. The node keeps only ``q``, ``k`` and ``v``: the backward
+    recomputes the probabilities with the same numpy operations and takes
+    every gradient with plain numpy, byte for byte as the primitive ops would.
+    """
+    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or \
+            q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % heads:
+        raise DimensionError(f"attention needs (B, n, d) queries and equal-shaped keys "
+                             f"and values with d divisible by {heads} heads, got "
+                             f"{q.shape}, {k.shape}, {v.shape}")
+    batch, n_q, d = q.shape
+    n_kv, head_dim = k.shape[1], d // heads
+    s = 1.0 / math.sqrt(head_dim)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        return x.reshape(batch, x.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+
+    with no_grad():
+        p = matmul(Tensor(split(q.data)), Tensor(split(k.data).swapaxes(-1, -2))).data
+        p *= s
+        _softmax(p, out=p)
+        mixed = matmul(Tensor(p), Tensor(split(v.data))).data
+    out = mixed.transpose(0, 2, 1, 3).reshape(batch, n_q, d)
+    qd, kd, vd = q.data, k.data, v.data
+    q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, heads, n, d_h) -> C-contiguous (B, n, d)
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(batch, x.shape[2], d)
+
+    def backward(g: np.ndarray):
+        qh, kh, vh = split(qd), split(kd), split(vd)
+        p = qh @ kh.swapaxes(-1, -2)
+        p *= s
+        _softmax(p, out=p)
+        gm = np.ascontiguousarray(split(g))
+        gq = gk = gv = None
+        if v_grad:
+            gv = merge(p.swapaxes(-1, -2) @ gm)
+        if q_grad or k_grad:
+            gs = _softmax_grad(gm @ vh.swapaxes(-1, -2), p)
+            del p
+            gs *= s
+            if q_grad:
+                gq = merge(gs @ kh)
+            if k_grad:
+                # the score GEMM's second operand was (B, heads, d_h, n_kv)
+                gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2))
+                gk = gk.reshape(batch, n_kv, d)
+        return (gq, gk, gv)
+
+    return _make(out, (q, k, v), backward)
+
 
 def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Token-wise ``gelu(x w1 + b1) w2 + b2`` as one node.

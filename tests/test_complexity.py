@@ -5,7 +5,7 @@ from dualvit import complexity
 from dualvit import tensor as T
 from dualvit.blocks import DUAL_VARIANTS, DualBlock, FeatureMap, MergeBlock, SemanticTokens
 from dualvit.model import build_model, preset_config
-from dualvit.nn import FeedForward, Linear
+from dualvit.nn import FeedForward, Linear, MultiHeadAttention
 from dualvit.tensor import Tensor
 
 
@@ -139,6 +139,50 @@ def test_an_ffn_runs_its_forward_gemms_through_matmul_and_its_backward_outside_i
     loss.backward()
     assert len(executed) == 2
     assert x.grad is not None and ffn.expand.weight.grad is not None
+
+
+@pytest.mark.parametrize("layer", ["linear", "attention"])
+def test_linear_and_attention_run_their_forward_gemms_through_matmul_and_backward_outside_it(
+        monkeypatch, layer):
+    """As for the FFN above: a Linear makes 1 ``matmul`` call and an attention 2
+    (scores and value mix), and neither backward makes any, the attention's
+    recomputed scores included."""
+    rng = np.random.default_rng(0)
+    batch, n_q, n_kv, dim, heads = 2, 5, 3, 8, 2
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    if layer == "linear":
+        lin = Linear(dim, 2 * dim, rng)
+        x = leaf(batch, n_q, dim)
+        executed = _count_matmul_macs(monkeypatch)
+        out, calls, macs, inputs = lin(x), 1, batch * lin.macs(n_q), [x, lin.weight, lin.bias]
+    else:
+        q, k, v = leaf(batch, n_q, dim), leaf(batch, n_kv, dim), leaf(batch, n_kv, dim)
+        executed = _count_matmul_macs(monkeypatch)
+        out, calls, inputs = T.attention(q, k, v, heads), 2, [q, k, v]
+        macs = batch * complexity.mha_attention_macs(n_q, n_kv, dim)
+    loss = T.sum_all(out)
+    assert len(executed) == calls
+    assert sum(executed) == macs
+    loss.backward()
+    assert len(executed) == calls
+    assert all(t.grad is not None for t in inputs)
+
+
+def test_multi_head_attention_makes_six_matmul_calls_and_none_in_its_backward(monkeypatch):
+    """Four projections and the attention's two GEMMs, summing to ``macs``."""
+    rng = np.random.default_rng(0)
+    mha = MultiHeadAttention(8, 2, rng)
+    q = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32), requires_grad=True)
+    kv = Tensor(rng.standard_normal((2, 3, 8)).astype(np.float32), requires_grad=True)
+    executed = _count_matmul_macs(monkeypatch)
+    loss = T.sum_all(mha(q, kv))
+    assert len(executed) == 6 and sum(executed) == 2 * mha.macs(5, 3)
+    loss.backward()
+    assert len(executed) == 6
+    assert q.grad is not None and kv.grad is not None
 
 
 def test_ablation_deltas():

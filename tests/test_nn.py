@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from dualvit import nn
 from dualvit import tensor as T
-from dualvit.errors import ConfigError, DimensionError
+from dualvit.errors import ConfigError, ContractError, DimensionError
 from dualvit.nn import FeedForward, Linear, MultiHeadAttention, trunc_normal
 from dualvit.tensor import Tensor
 from tests.test_tensor import assert_grad_close, finite_diff
@@ -14,7 +15,7 @@ def dense_attention_oracle(q, k, v, mha):
     wk, bk = mha.k_proj.weight.data, mha.k_proj.bias.data
     wv, bv = mha.v_proj.weight.data, mha.v_proj.bias.data
     wo, bo = mha.o_proj.weight.data, mha.o_proj.bias.data
-    h, dh = mha.heads, mha.head_dim
+    h, dh = mha.heads, mha.dim // mha.heads
     b, nq, d = q.shape
     nkv = k.shape[1]
     out = np.zeros((b, nq, d))
@@ -34,6 +35,21 @@ def dense_attention_oracle(q, k, v, mha):
             heads.append(weights @ vp[:, sl])
         out[bi] = np.concatenate(heads, axis=-1) @ wo + bo
     return out
+
+
+def attention_weights(mha, q, k):
+    """Per-head probabilities (B, heads, n_q, n_kv) of ``T.attention`` on ``mha``'s
+    projections, read one key at a time: values that are one on that key's token
+    and zero elsewhere mix to that key's weight in every channel of a head."""
+    with T.no_grad():
+        qp, kp = mha.q_proj(q), mha.k_proj(k)
+        columns = []
+        for j in range(kp.shape[1]):
+            onehot = np.zeros(kp.shape, kp.data.dtype)
+            onehot[:, j] = 1.0
+            out = T.attention(qp, kp, Tensor(onehot), mha.heads).data
+            columns.append(out.reshape(*out.shape[:2], mha.heads, -1)[..., 0])
+    return np.stack(columns, axis=-1).transpose(0, 2, 1, 3)
 
 
 def _randomize(module, rng, scale=0.3):
@@ -57,7 +73,7 @@ class TestMha:
         q = Tensor(rng.standard_normal((1, 2, 6)))
         key_row = rng.standard_normal(6)
         k = Tensor(np.tile(key_row, (1, 5, 1)))
-        weights = mha.attention_weights(q, k).data
+        weights = attention_weights(mha, q, k)
         np.testing.assert_allclose(weights, 1.0 / 5.0, atol=1e-7)
         out = mha(q, k).data
         vp = k.data[0] @ mha.v_proj.weight.data + mha.v_proj.bias.data
@@ -95,7 +111,8 @@ class TestMha:
         _randomize(mha, rng)
         q = Tensor(rng.standard_normal((2, 3, 8)))
         k = Tensor(rng.standard_normal((2, 6, 8)))
-        w = mha.attention_weights(q, k).data
+        w = attention_weights(mha, q, k)
+        assert w.shape == (2, 4, 3, 6)
         assert np.all(w >= 0) and np.all(w <= 1)
         np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -207,6 +224,38 @@ class TestInit:
         draws = trunc_normal(np.random.default_rng(3), (100_000,))
         assert np.abs(draws).max() <= 0.04 + 1e-12
         assert 0.017 <= draws.std() <= 0.021
+
+    def test_deferred_modules_cast_one_at_a_time_take_their_eager_draws(self):
+        with nn.deferred_init():
+            a = Linear(3, 4, np.random.default_rng(1))
+            b = Linear(3, 4, np.random.default_rng(2))
+            b.astype(np.float32)
+            assert not a.weight.data.flags.writeable  # still a placeholder
+            a.astype(np.float32)
+        for lin, seed in ((a, 1), (b, 2)):
+            want = Linear(3, 4, np.random.default_rng(seed)).weight.data
+            assert lin.weight.data.tobytes() == want.tobytes()
+
+    def test_a_deferred_cast_ahead_of_an_earlier_draw_on_its_generator_is_refused(self):
+        rng = np.random.default_rng(0)
+        with nn.deferred_init():
+            a = Linear(3, 4, rng)
+            b = Linear(3, 4, rng)
+            with pytest.raises(ContractError, match="same generator"):
+                b.astype(np.float32)
+            a.astype(np.float32)
+            b.astype(np.float32)
+        eager_rng = np.random.default_rng(0)
+        for lin in (a, b):
+            want = Linear(3, 4, eager_rng).weight.data
+            assert lin.weight.data.tobytes() == want.tobytes()
+
+    def test_a_deferred_float64_cast_takes_the_eager_float32_draws(self):
+        with nn.deferred_init():
+            lin = Linear(3, 4, np.random.default_rng(5)).astype(np.float64)
+        want = Linear(3, 4, np.random.default_rng(5)).astype(np.float64)
+        assert lin.arena.dtype == np.float64
+        assert lin.arena.tobytes() == want.arena.tobytes()
 
     def test_linear_input_dim_checked(self, rng):
         lin = Linear(4, 2, rng)
