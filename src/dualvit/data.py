@@ -14,8 +14,8 @@ DVCP v2 (checkpoint):
 Only v2 is read: the v1 CRC left the manifest unchecked. The payload is the
 bytes of the model's parameter arena (``Module.astype``): saving writes it once
 under the CRC. Loading checks the CRC through a fixed 1 MiB buffer, then reads
-the payload in one read into the arena of a model built under
-``nn.deferred_init(fill=False)``, as the payload overwrites every parameter.
+the payload in one read into the arena of a model built without drawing a
+weight, as the payload overwrites every parameter.
 
 Both round trips are bit-exact. Synthetic images are quantized to the
 byte grid so that a DVDS round trip reproduces them exactly.
@@ -32,9 +32,8 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
-from .model import DualViT, ModelConfig, build_model
-from .nn import deferred_init
+from .errors import ConfigError, FormatError, allocation_refused_as
+from .model import DualViT, ModelConfig, _unfilled
 
 DVDS_MAGIC = b"DVDS"
 DVCP_MAGIC = b"DVCP"
@@ -239,15 +238,13 @@ def _check_manifest(manifest) -> None:
 def load_checkpoint(path: str) -> DualViT:
     """Rebuild the model described by the checkpoint's config echo.
 
-    Built under ``deferred_init(fill=False)``, which ``build_model``'s own scope
-    keeps, the model draws no random init: it is returned only once the checks
-    below have overwritten every parameter from the payload.
+    The model is built with no weight drawn: it is returned only once the
+    checks below have passed and the payload has overwritten every parameter.
     """
     with open(path, "rb") as fh:
         manifest, count = _read_checkpoint(fh)
-        with deferred_init(fill=False):
-            model = build_model(ModelConfig.from_dict(manifest["config"]),
-                                variant=manifest["variant"])
+        with allocation_refused_as(ConfigError, "config"):
+            model = _unfilled(ModelConfig.from_dict(manifest["config"]), manifest["variant"])
         params = list(model.named_parameters())
         listed = [entry["name"] for entry in manifest["entries"]]
         names = [name for name, _ in params]

@@ -13,6 +13,10 @@ of it.
 
 A ``ModelConfig`` is valid once made and immutable: every construction, a
 preset, a parsed file or ``dataclasses.replace``, runs ``validate``.
+
+A ``DualViT`` draws its weights from the config's seed straight into its
+arena, once the arena is laid out; a model rebuilt to be overwritten (a load
+or a copy) draws none.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from . import tensor as T
 from .blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed, SemanticTokens,
                      SemanticTransition)
 from .errors import ConfigError, FormatError, InputError, allocation_refused_as
-from .nn import LayerNorm, Linear, Module, deferred_init, trunc_normal
+from .nn import LayerNorm, Linear, Module, cast_and_draw, trunc_normal
 from .tensor import Tensor
 
 
@@ -170,39 +174,43 @@ def preset_config(name: str, **overrides) -> ModelConfig:
 
 class DualViT(Module):
     def __init__(self, config: ModelConfig, variant: str = "D"):
+        draws: list[np.ndarray] = []
+        self._build(config, variant, draws)
+        cast_and_draw(self, draws, np.random.default_rng(config.seed))
+
+    def _build(self, config: ModelConfig, variant: str, draws: list) -> None:
+        """Make every module, passing ``draws`` where a generator goes, so that
+        each weight's draw is put off into it (``nn.trunc_normal``)."""
         self.config = config
         self.variant = variant
-        rng = np.random.default_rng(config.seed)
-
         self.patch_embeds: list[PatchEmbed] = []
         self.transitions: list[SemanticTransition] = []
         self.stage_blocks: list[list[Module]] = []
         in_ch = 3
         for i, spec in enumerate(config.stages):
-            self.patch_embeds.append(PatchEmbed(in_ch, spec.patch_size, spec.channels, rng))
+            self.patch_embeds.append(PatchEmbed(in_ch, spec.patch_size, spec.channels, draws))
             if i == 0:
-                self.z0 = Tensor(trunc_normal(rng, (1, config.m, spec.channels)),
+                self.z0 = Tensor(trunc_normal(draws, (1, config.m, spec.channels)),
                                  requires_grad=True)
                 if config.pos_embed:
                     self.pos_embed = Tensor(trunc_normal(
-                        rng, (1, config.token_counts()[0], spec.channels)), requires_grad=True)
+                        draws, (1, config.token_counts()[0], spec.channels)), requires_grad=True)
             else:
-                self.transitions.append(SemanticTransition(in_ch, spec.channels, rng))
+                self.transitions.append(SemanticTransition(in_ch, spec.channels, draws))
             blocks: list[Module] = []
             for _ in range(spec.depth):
                 if spec.kind == "dual":
                     blocks.append(DualBlock(spec.channels, spec.heads,
                                             spec.ffn_ratio_pixel, spec.ffn_ratio_semantic,
-                                            rng, variant=variant))
+                                            draws, variant=variant))
                 else:
                     blocks.append(MergeBlock(spec.channels, spec.heads,
                                              spec.ffn_ratio_pixel, spec.ffn_ratio_semantic,
-                                             rng))
+                                             draws))
             self.stage_blocks.append(blocks)
             in_ch = spec.channels
         self.head_norm = LayerNorm(in_ch)
-        self.head = Linear(in_ch, config.num_classes, rng)
-        self.astype(T.DEFAULT_DTYPE)
+        self.head = Linear(in_ch, config.num_classes, draws)
 
     def __reduce__(self):
         """Pickle and ``copy.deepcopy`` as config, variant and ``checked_arena()``, which
@@ -261,13 +269,20 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
     return T.add(t, zeros)
 
 
+def _unfilled(config: ModelConfig, variant: str, dtype=T.DEFAULT_DTYPE) -> DualViT:
+    """The model ``config`` describes, laid out in ``dtype`` with no weight drawn:
+    only for a caller that overwrites the whole arena."""
+    model = DualViT.__new__(DualViT)
+    model._build(config, variant, [])
+    return model.astype(dtype)
+
+
 def _rebuilt(config: ModelConfig, variant: str, arena: np.ndarray) -> DualViT:
-    with deferred_init(fill=False):
-        model = DualViT(config, variant).astype(arena.dtype)
+    model = _unfilled(config, variant, arena.dtype)
     model.arena[...] = arena
     return model
 
 
 def build_model(config: ModelConfig, variant: str = "D") -> DualViT:
-    with allocation_refused_as(ConfigError, "config"), deferred_init():
+    with allocation_refused_as(ConfigError, "config"):
         return DualViT(config, variant=variant)

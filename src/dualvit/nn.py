@@ -6,11 +6,14 @@ cross-attention otherwise. All four attention projections are square d×d with
 bias, each one ``T.linear`` node. Between them one ``T.attention`` node realizes
 the heads as views of the d-wide projections reshaped to (h, d_h); it keeps only
 the projections and recomputes the probabilities in the backward.
+
+Each module draws its weights (``trunc_normal``) from the generator it is
+given, at once. A model gives a list in its place, which puts the draws off
+until ``cast_and_draw`` writes them into the model's arena.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterator
 
 import numpy as np
@@ -21,59 +24,47 @@ from .errors import ConfigError, ContractError
 from .tensor import Tensor
 
 
-# None: draw at once; a list: the (placeholder, rng) draws put off; False: draw nothing
-_pending: list | bool | None = None
+# The buffer of every put-off draw's placeholder: one zero, read by zero strides
+_ZERO = T.DEFAULT_DTYPE(0).tobytes()
 
 
-@contextmanager
-def deferred_init(fill: bool = True) -> Iterator[None]:
-    """Within this block ``trunc_normal`` returns a placeholder for
-    ``Module.astype`` to lay out. With ``fill``, each put-off draw then runs, in
-    call order, into its arena slice, taking the values an eager draw would; in
-    a float32 arena no drawn array is copied and freed (under glibc, freed drawn
-    arrays stayed resident and raised S@224 inference peak RSS by ~20 MB), any
-    other dtype takes a cast of each float32 draw. Without ``fill``
-    the arena is neither drawn nor copied into: only for a build whose every
-    parameter is overwritten before use, as ``data.load_checkpoint`` does.
-    Nests; a scope opened inside one without ``fill`` draws nothing either."""
-    global _pending
-    saved, _pending = _pending, [] if fill and _pending is not False else False
-    try:
-        yield
-    finally:
-        _pending = saved
-
-
-def trunc_normal(rng: np.random.Generator, shape):
+def trunc_normal(rng: np.random.Generator | list, shape):
     """Normal(0, 0.02) float32 samples rejected outside ±2 std. Deterministic under rng.
 
-    Under ``deferred_init`` it returns a read-only zero placeholder that
-    allocates nothing and leaves ``rng`` alone, for ``Module.astype`` to replace.
+    Given a list in place of ``rng`` it puts the draw off: it returns a
+    read-only zero placeholder that allocates nothing, for ``Module.astype`` to
+    replace, and appends it to the list for ``cast_and_draw``.
     """
-    if _pending is None:
-        out = np.empty(shape, dtype=T.DEFAULT_DTYPE)
-        _fill_trunc_normal(rng, out)
-        return out
-    placeholder = np.ndarray(shape, T.DEFAULT_DTYPE, T.DEFAULT_DTYPE(0).tobytes(),
-                             strides=(0,) * len(shape))
-    if _pending is not False:
-        _pending.append((placeholder, rng))
-    return placeholder
+    if isinstance(rng, list):
+        rng.append(np.ndarray(shape, T.DEFAULT_DTYPE, _ZERO, strides=(0,) * len(shape)))
+        return rng[-1]
+    out = np.empty(shape, dtype=T.DEFAULT_DTYPE)
+    _fill_trunc_normal(rng, out)
+    return out
 
 
 def _fill_trunc_normal(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Write into ``out`` the float32 draws ``trunc_normal`` returns, cast to ``out``'s dtype."""
-    draw = out if out.dtype == T.DEFAULT_DTYPE else np.empty(out.shape, T.DEFAULT_DTYPE)
-    rng.standard_normal(dtype=T.DEFAULT_DTYPE, out=draw)
-    flat = draw.reshape(-1)
+    """Write into the float32 ``out`` the draws ``trunc_normal`` returns."""
+    rng.standard_normal(dtype=T.DEFAULT_DTYPE, out=out)
+    flat = out.reshape(-1)
     idx = np.flatnonzero(np.abs(flat) > 2.0)
     while idx.size:
         redraw = rng.standard_normal(idx.size, dtype=T.DEFAULT_DTYPE)
         flat[idx] = redraw
         idx = idx[np.abs(redraw) > 2.0]
-    draw *= 0.02
-    if draw is not out:
-        out[...] = draw
+    out *= 0.02
+
+
+def cast_and_draw(module: Module, draws: list, rng: np.random.Generator) -> None:
+    """Cast ``module``, built with ``draws`` in place of ``rng``, to float32, then
+    draw from ``rng`` each placeholder of ``draws``, in call order, into the
+    arena slice that replaced it: an eager build's values, yet no drawn array is
+    copied and freed (under glibc, freed drawn arrays stayed resident and raised
+    S@224 inference peak RSS by ~20 MB)."""
+    owner = {id(p.data): p for p in module.parameters()}
+    module.astype(T.DEFAULT_DTYPE)
+    for placeholder in draws:
+        _fill_trunc_normal(rng, owner[id(placeholder)].data)
 
 
 class Module:
@@ -114,36 +105,17 @@ class Module:
         """Lay every parameter out in one new flat ``arena`` of ``dtype``, in
         ``named_parameters`` order, dropping its grad; return the module. Each
         ``p.data`` becomes the C-contiguous view of its slice, holding the bits
-        ``p.data.astype(dtype)`` would or the draw ``deferred_init`` put off.
-        Other modules' put-off draws stay pending; one that an earlier call made
-        from a generator this module's draws also use must be laid out first,
-        else the values would not be an eager draw's (``ContractError``)."""
+        ``p.data.astype(dtype)`` would; a put-off draw's slice is left unwritten."""
         params = self.parameters()
-        draws = _pending or []
-        mine = {id(p.data) for p in params}
-        others: set[int] = set()  # generators of other modules' draws met so far
-        for out, rng in draws:
-            if id(out) not in mine:
-                others.add(id(rng))
-            elif id(rng) in others:
-                raise ContractError("another module built earlier in this deferred_init "
-                                    "scope draws from the same generator: cast it first")
         self.arena = np.empty(sum(p.data.size for p in params), dtype)
-        slots = {id(out): None for out, _ in draws if id(out) in mine}
         lo = 0
         for p in params:
             view = self.arena[lo:lo + p.data.size].reshape(p.data.shape)
-            if id(p.data) in slots:
-                slots[id(p.data)] = view
-            elif _pending is not False:
+            if p.data.base is not _ZERO:
                 view[...] = p.data
             p.data = view
             p.zero_grad()
             lo += view.size
-        for out, rng in draws:
-            if id(out) in slots:
-                _fill_trunc_normal(rng, slots[id(out)])
-        draws[:] = [d for d in draws if id(d[0]) not in slots]
         return self
 
 

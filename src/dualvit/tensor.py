@@ -493,16 +493,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Token-wise ``gelu(x w1 + b1) w2 + b2`` as one node.
 
-    The forward runs ``matmul``, ``add`` and ``gelu`` under ``no_grad``, so
-    anything that patches ``matmul`` to count MACs sees both forward GEMMs.
-    The node keeps only ``x`` and the pre-activation ``h = x w1 + b1``. The
-    backward recomputes GELU from ``h`` and takes every gradient with plain
-    numpy, never through ``matmul``, byte for byte as the five primitive
-    nodes would.
+    The forward runs ``linear``, ``gelu`` and ``linear`` under ``no_grad``, so
+    anything that patches ``matmul`` to count MACs sees both forward GEMMs and
+    both biases are added in place. The node keeps only ``x`` and the
+    pre-activation ``h = x w1 + b1``. The backward recomputes GELU from ``h``
+    and takes every gradient with plain numpy, never through ``matmul``, byte
+    for byte as the five primitive nodes would.
     """
     with no_grad():
-        pre = add(matmul(x, w1), b1)
-        out = add(matmul(gelu(pre), w2), b2).data
+        pre = linear(x, w1, b1)
+        out = linear(gelu(pre), w2, b2).data
     xd, h, w1d, w2d = x.data, pre.data, w1.data, w2.data
     x_requires_grad = x.requires_grad
 

@@ -5,6 +5,7 @@ from dualvit import tensor as T
 from dualvit.blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed,
                             SemanticTokens, SemanticTransition, TransformerBlock)
 from dualvit.errors import ConfigError, DimensionError, InputError
+from dualvit.nn import cast_and_draw
 from dualvit.tensor import Tensor
 from tests.test_complexity import dual_block_attention_macs, joint_attention_macs
 from tests.test_nn import _randomize
@@ -168,6 +169,22 @@ class TestDualBlock:
         assert [n for n, _ in c_params] == [n for n, _ in d_params]
         for (name, p), (_, q) in zip(c_params, d_params):
             np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: DualBlock(8, 2, 2, 2, rng, variant="C"),
+    lambda rng: DualBlock(8, 2, 2, 2, rng, variant="D"),
+    lambda rng: MergeBlock(8, 2, 2, 2, rng),
+], ids=["dual-C", "dual-D", "merge"])
+def test_put_off_draws_fill_the_bytes_of_an_eager_build(make):
+    """Built with a list in place of its generator, a block holds read-only
+    placeholders; ``cast_and_draw`` fills them with an eager build's bytes."""
+    draws = []
+    block = make(draws)
+    assert draws and not any(d.flags.writeable for d in draws)
+    cast_and_draw(block, draws, np.random.default_rng(5))
+    eager = make(np.random.default_rng(5)).astype(np.float32)
+    assert block.arena.tobytes() == eager.arena.tobytes()
 
 
 class TestMergeBlock:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import pickle
@@ -19,6 +20,7 @@ from dualvit.data import (Dataset, class_means, load_checkpoint, load_packed_dat
 from dualvit.errors import ConfigError, ContractError, FormatError
 from dualvit.model import build_model, preset_config
 from dualvit.training import AdamW, _randomize, train_toy
+from tests.test_model import TINY_ARENA_SHA256
 
 
 def test_synthetic_is_balanced_and_in_range():
@@ -361,32 +363,28 @@ def test_loaded_parameters_are_owned_writable_float32_and_train_like_the_saved_o
         assert p.data.tobytes() == q.data.tobytes(), name
 
 
-def test_load_draws_no_init_though_build_model_opens_a_filling_scope_inside(
-        tmp_path, monkeypatch):
-    """``load_checkpoint``'s scope that draws nothing stays so inside the
-    filling scope ``build_model`` opens."""
+def test_a_load_or_a_copy_draws_no_init(tmp_path, monkeypatch):
+    """``load_checkpoint``, ``copy.deepcopy`` and ``pickle`` build their model
+    without drawing a weight: each returns the saved bytes while drawing raises."""
     path = tmp_path / "m.dvcp"
     saved = build_model(preset_config("tiny", seed=5))
     save_checkpoint(saved, str(path))
 
     def refuse(rng, out):
-        raise AssertionError("a load drew a random init")
+        raise AssertionError("a rebuild drew a random init")
     monkeypatch.setattr(nn, "_fill_trunc_normal", refuse)
-    assert load_checkpoint(str(path)).arena.tobytes() == saved.arena.tobytes()
-    assert nn._pending is None
+    with pytest.raises(AssertionError, match="drew"):
+        build_model(preset_config("tiny"))
+    rebuilt = [load_checkpoint(str(path)), copy.deepcopy(saved), pickle.loads(pickle.dumps(saved))]
+    for model in rebuilt:
+        assert model.arena.tobytes() == saved.arena.tobytes()
 
 
-def test_a_build_that_raises_midway_restores_the_init_mode():
-    """A build that fails drops its put-off draws with its scope: init goes
-    back to eager draws, or to the enclosing scope that draws nothing."""
+def test_a_build_that_raises_midway_leaves_the_next_build_to_draw_the_pinned_init():
     with pytest.raises(ConfigError, match="variant"):
         build_model(preset_config("tiny"), variant="Z")
-    assert nn._pending is None
-    with nn.deferred_init(fill=False):
-        with pytest.raises(ConfigError, match="variant"):
-            build_model(preset_config("tiny"), variant="Z")
-        assert nn._pending is False
-    assert nn._pending is None
+    arena = build_model(preset_config("tiny")).arena
+    assert hashlib.sha256(arena.tobytes()).hexdigest() == TINY_ARENA_SHA256
 
 
 COPIERS = {"deepcopy": copy.deepcopy, "pickle": lambda m: pickle.loads(pickle.dumps(m))}

@@ -1,5 +1,7 @@
+import hashlib
 import os
 import time
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -258,12 +260,32 @@ def test_astype_lays_each_parameter_out_in_its_arena_slice_in_order(dtype):
     assert lo == arena.size
 
 
-def test_build_model_draws_the_values_of_a_build_that_draws_at_once():
-    """``build_model`` puts each weight's draw off until the arena is laid
-    out; the draws run in call order, so they take the same values as a
-    ``DualViT`` built outside it, which draws each weight as it is made."""
-    cfg = preset_config("tiny", seed=4)
-    assert build_model(cfg).arena.tobytes() == DualViT(cfg).arena.tobytes()
+# sha256 of ``build_model(preset_config("tiny")).arena``: the bits of the seeded init
+TINY_ARENA_SHA256 = "28a19461456211120b7156b379584de9b05728f2beeeaa0b028bbdb34cd187e1"
+
+
+@pytest.mark.parametrize("build", [DualViT, build_model], ids=["DualViT", "build_model"])
+def test_a_build_draws_the_pinned_tiny_init(build):
+    """Both builds put each weight's draw off until the arena is laid out and
+    run the draws in call order: the pinned bits are those of a build that drew
+    each weight as it was made."""
+    arena = build(preset_config("tiny")).arena
+    assert hashlib.sha256(arena.tobytes()).hexdigest() == TINY_ARENA_SHA256
+
+
+@pytest.mark.parametrize("build", [DualViT, build_model], ids=["DualViT", "build_model"])
+def test_a_build_peaks_near_its_arena(build):
+    """Each weight is drawn straight into its arena slice, so no drawn array
+    is made, copied and freed: a build's traced peak stays near the arena. The
+    build traced is the second, as numpy loads its random module on first use."""
+    build(preset_config("tiny"))
+    tracemalloc.start()
+    try:
+        model = build(preset_config("tiny"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * model.arena.nbytes
 
 
 def test_float64_cast_holds_the_float32_weights_and_no_grads():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from dualvit import nn
 from dualvit import tensor as T
-from dualvit.errors import ConfigError, ContractError, DimensionError
+from dualvit.errors import ConfigError, DimensionError
 from dualvit.nn import FeedForward, Linear, MultiHeadAttention, trunc_normal
 from dualvit.tensor import Tensor
 from tests.test_tensor import assert_grad_close, finite_diff
@@ -224,38 +223,6 @@ class TestInit:
         draws = trunc_normal(np.random.default_rng(3), (100_000,))
         assert np.abs(draws).max() <= 0.04 + 1e-12
         assert 0.017 <= draws.std() <= 0.021
-
-    def test_deferred_modules_cast_one_at_a_time_take_their_eager_draws(self):
-        with nn.deferred_init():
-            a = Linear(3, 4, np.random.default_rng(1))
-            b = Linear(3, 4, np.random.default_rng(2))
-            b.astype(np.float32)
-            assert not a.weight.data.flags.writeable  # still a placeholder
-            a.astype(np.float32)
-        for lin, seed in ((a, 1), (b, 2)):
-            want = Linear(3, 4, np.random.default_rng(seed)).weight.data
-            assert lin.weight.data.tobytes() == want.tobytes()
-
-    def test_a_deferred_cast_ahead_of_an_earlier_draw_on_its_generator_is_refused(self):
-        rng = np.random.default_rng(0)
-        with nn.deferred_init():
-            a = Linear(3, 4, rng)
-            b = Linear(3, 4, rng)
-            with pytest.raises(ContractError, match="same generator"):
-                b.astype(np.float32)
-            a.astype(np.float32)
-            b.astype(np.float32)
-        eager_rng = np.random.default_rng(0)
-        for lin in (a, b):
-            want = Linear(3, 4, eager_rng).weight.data
-            assert lin.weight.data.tobytes() == want.tobytes()
-
-    def test_a_deferred_float64_cast_takes_the_eager_float32_draws(self):
-        with nn.deferred_init():
-            lin = Linear(3, 4, np.random.default_rng(5)).astype(np.float64)
-        want = Linear(3, 4, np.random.default_rng(5)).astype(np.float64)
-        assert lin.arena.dtype == np.float64
-        assert lin.arena.tobytes() == want.arena.tobytes()
 
     def test_linear_input_dim_checked(self, rng):
         lin = Linear(4, 2, rng)
