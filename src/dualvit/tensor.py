@@ -45,6 +45,15 @@ backwards, the recomputed score GEMM included, use plain numpy ``@`` and never
 and gradient with the same numpy operations, in the same order, as its
 primitive ops would, so results are byte-identical to theirs.
 
+GELU and layer norm run each chain of in-place passes over tiles of ``_TILE``
+elements (whole rows for layer norm) that stay in cache, writing into the
+arrays they return; ``feedforward``'s backward recomputes GELU, writes the
+activation and turns ``g @ w2ᵀ`` into the pre-activation gradient in one such
+pass. GEMMs never run in tiles: OpenBLAS's summation order can depend on the
+row count. Each element meets the numpy operations of a whole-array pass in
+their order, and each reduction the same values in the same order, so the
+bytes match (for layer norm, on inputs whose last axis is innermost in memory).
+
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
 as nothing reads it.
@@ -66,6 +75,10 @@ import numpy as np
 from .errors import ContractError, DimensionError
 
 DEFAULT_DTYPE = np.float32
+
+# Elements per tile of a chain of in-place passes: each operand's tile stays in
+# cache across the chain (for AdamW at S, 64K beat 16K, 256K and whole arrays).
+_TILE = 1 << 16
 
 # DUALVIT_DEBUG turns on the NaN/Inf sentinel that runs after every forward
 # op: unset, empty or "0" means off, any other value means on.
@@ -322,25 +335,48 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layernorm affine params must have shape ({d},), got "
             f"gamma {gamma.shape}, beta {beta.shape}"
         )
-    mean = _row_mean(a.data)
-    centered = a.data - mean
-    var = _row_mean(centered * centered)
-    inv_std = 1.0 / np.sqrt(var + 1e-6)
-    normed = centered * inv_std
-    gd = gamma.data
-    out = gd * normed + beta.data
+    x, gd, bd, shape = a.data.reshape(-1, d), gamma.data, beta.data, a.shape
+    n = max(1, min(len(x), _TILE // max(1, d)))  # rows per tile
+    normed, inv_std = np.empty(x.shape, x.dtype), np.empty((len(x), 1), x.dtype)
+    out = np.empty(x.shape, np.result_type(gd, x, bd))
+    sq = np.empty((n, d), x.dtype)
+    for lo in range(0, len(x), n):
+        r = slice(lo, lo + n)
+        xr = x[r]
+        centered = np.subtract(xr, _row_mean(xr), out=normed[r])
+        var = _row_mean(np.multiply(centered, centered, out=sq[:len(xr)]))
+        var += 1e-6
+        np.sqrt(var, out=var)
+        centered *= np.divide(1.0, var, out=inv_std[r])
+        y = np.multiply(gd, centered, out=out[r])
+        y += bd
     a_requires_grad = a.requires_grad
 
     def backward(g: np.ndarray):
-        ga = None
-        if a_requires_grad:
-            gy = g * gd
-            m1 = _row_mean(gy)
-            m2 = _row_mean(gy * normed)
-            ga = inv_std * (gy - m1 - normed * m2)
-        return (ga, (g * normed).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
+        g = g.reshape(-1, d)
+        dt = np.result_type(g, gd, normed)
+        ga = np.empty(normed.shape, dt) if a_requires_grad else None
+        # row 0 holds the gamma gradient's running sum, which each tile's rows
+        # continue one after another from 0, as a sum over axis 0 adds them
+        buf = np.empty((n + 1, d), dt)
+        g_gamma = np.zeros(d, dt)
+        for lo in range(0, len(g), n):
+            r = slice(lo, lo + n)
+            gr, nr = g[r], normed[r]
+            prod = buf[1:1 + len(nr)]
+            if a_requires_grad:
+                gy = np.multiply(gr, gd, out=ga[r])
+                m1 = _row_mean(gy)
+                m2 = _row_mean(np.multiply(gy, nr, out=prod))
+                gy -= m1
+                gy -= np.multiply(nr, m2, out=prod)
+                gy *= inv_std[r]
+            np.multiply(gr, nr, out=prod)
+            buf[0] = g_gamma
+            np.add.reduce(buf[:1 + len(nr)], axis=0, out=g_gamma)
+        return (None if ga is None else ga.reshape(shape), g_gamma, g.sum(axis=0))
 
-    return _make(out, (a, gamma, beta), backward)
+    return _make(out.reshape(shape), (a, gamma, beta), backward)
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
@@ -354,43 +390,50 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``t = tanh(√(2/π)(x + 0.044715 x³))`` and GELU's output ``0.5 x (1 + t)``.
-
-    Two fresh full-size buffers filled with in-place ufuncs; the cube is two
-    multiplies, not ``np.power``. Writes into nothing it is given.
+def _gelu(x: np.ndarray, out: np.ndarray, g: np.ndarray | None = None,
+          act: np.ndarray | None = None) -> np.ndarray:
+    """One pass over tiles of ``x`` with ``t = tanh(√(2/π)(x + 0.044715 x³))``:
+    GELU ``0.5 x (1 + t)`` into ``out``, making ``t`` there; or, given ``g``,
+    ``g`` times GELU's derivative into ``out`` (which may be ``g``) and GELU
+    into ``act`` if given, making ``t`` in scratch. ``out`` and ``act`` are
+    C-contiguous; the cube is two multiplies, not ``np.power``. Returns ``out``.
     """
-    t = x * x
-    t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = t + 1.0
-    out *= x
-    out *= 0.5
-    return t, out
-
-
-def _gelu_grad(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``g`` times GELU's derivative at ``x``, given ``t`` from ``_gelu_parts(x)``.
-
-    Returns a fresh array; writes into none of ``g``, ``x`` or ``t``.
-    """
-    # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
-    local = x * (3.0 * _GELU_A)
-    local *= x
-    local += 1.0
-    local *= _GELU_C
-    tmp = t * t
-    np.subtract(1.0, tmp, out=tmp)
-    tmp *= x
-    tmp *= 0.5
-    local *= tmp
-    np.add(t, 1.0, out=tmp)
-    tmp *= 0.5
-    local += tmp
-    return np.multiply(g, local, out=local if g.dtype == local.dtype else None)
+    xf, of = x.reshape(-1), out.reshape(-1)
+    af = of if g is None else None if act is None else act.reshape(-1)
+    if g is not None:
+        gf, scratch = g.reshape(-1), np.empty((3, min(_TILE, xf.size)), x.dtype)
+    for lo in range(0, xf.size, _TILE):
+        hi = min(lo + _TILE, xf.size)
+        xs = xf[lo:hi]
+        t = of[lo:hi] if g is None else scratch[0, :hi - lo]
+        np.multiply(xs, xs, out=t)
+        t *= xs
+        t *= _GELU_A
+        t += xs
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        if af is not None:
+            y = np.add(t, 1.0, out=af[lo:hi])
+            y *= xs
+            y *= 0.5
+        if g is None:
+            continue
+        # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
+        local, tmp = scratch[1:, :hi - lo]
+        np.multiply(xs, 3.0 * _GELU_A, out=local)
+        local *= xs
+        local += 1.0
+        local *= _GELU_C
+        np.multiply(t, t, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        tmp *= xs
+        tmp *= 0.5
+        local *= tmp
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        local += tmp
+        np.multiply(gf[lo:hi], local, out=of[lo:hi])
+    return out
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -399,8 +442,8 @@ def gelu(a: Tensor) -> Tensor:
     The node keeps only ``x``; the backward recomputes ``t`` from it.
     """
     x = a.data
-    _, out = _gelu_parts(x)
-    return _make(out, (a,), lambda g: (_gelu_grad(g, x, _gelu_parts(x)[0]),))
+    out = _gelu(x, np.empty(x.shape, x.dtype))
+    return _make(out, (a,), lambda g: (_gelu(x, np.empty(x.shape, np.result_type(g, x)), g),))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +550,11 @@ def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     x_requires_grad = x.requires_grad
 
     def backward(g: np.ndarray):
-        t, act = _gelu_parts(h)
+        # one pass writes the activation and turns g @ w2ᵀ into gh in place
+        gh, act = g @ w2d.T, np.empty_like(h)
+        _gelu(h, gh, gh, act)
         gw2 = act.reshape(-1, act.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         del act
-        gh = _gelu_grad(g @ w2d.T, h, t)
-        del t
         gw1 = xd.reshape(-1, xd.shape[-1]).T @ gh.reshape(-1, gh.shape[-1])
         gx = gh @ w1d.T if x_requires_grad else None
         # the bias gradients are full-size: the tape sums them down

@@ -29,15 +29,12 @@ from .nn import Module
 from .tensor import Tensor
 
 
-# Elements per in-place pass: a chunk of each array stays in cache across the
-# update's passes (at S, 64K beat 16K, 256K and whole parameters).
-_CHUNK = 1 << 16
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
     """Updates ``module.arena`` in place; ``m`` and ``v`` are laid out like it.
-    A step works in chunks of ``_CHUNK`` elements, gathering each chunk's
+    A step works in chunks of ``tensor._TILE`` elements, gathering each chunk's
     gradient from the ``grad``s (``None`` reads as zeros) and doing the
     formula's operations in its order, so the result equals the formula
     evaluated out of place, bit for bit. A module never laid out by
@@ -54,7 +51,7 @@ class AdamW:
         self.m = np.zeros_like(self.arena)
         self.v = np.zeros_like(self.arena)
         # the gathered gradient and the update's two temporaries, one chunk each
-        self._g, self._s, self._d = np.empty((3, min(_CHUNK, self.arena.size)), self.arena.dtype)
+        self._g, self._s, self._d = np.empty((3, min(T._TILE, self.arena.size)), self.arena.dtype)
 
     def step(self, lr: float) -> None:
         for i, p in enumerate(self.params):
@@ -70,7 +67,7 @@ class AdamW:
         c1, c2 = 1.0 - _B1 ** t, 1.0 - _B2 ** t
         decay = 1.0 - lr * self.weight_decay if self.weight_decay else None
         n = self.arena.size
-        lo, hi = 0, min(_CHUNK, n)  # the chunk being gathered
+        lo, hi = 0, min(T._TILE, n)  # the chunk being gathered
         start = 0  # the arena offset of the parameter being gathered
         for p in self.params:
             a, b = start, start + p.data.size
@@ -83,7 +80,7 @@ class AdamW:
                     k = hi - lo
                     _adamw_update(self.arena[lo:hi], self._g[:k], self.m[lo:hi], self.v[lo:hi],
                                   self._s[:k], self._d[:k], lr, decay, c1, c2)
-                    lo, hi = hi, min(hi + _CHUNK, n)
+                    lo, hi = hi, min(hi + T._TILE, n)
             start = b
 
     def zero_grad(self) -> None:

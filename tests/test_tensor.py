@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -165,6 +166,65 @@ class TestLayerNorm:
         want = np.mean(x, axis=-1, keepdims=True)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype, g_dtype", [(np.float32, np.float32),
+                                                (np.float32, np.float64),
+                                                (np.float64, np.float64)])
+    def test_output_and_gradients_equal_the_untiled_formulas_byte_for_byte(
+            self, rng, dtype, g_dtype):
+        x, gamma, beta = _layernorm_leaves(rng, dtype)
+        g = rng.standard_normal(x.shape).astype(g_dtype)
+        out = T.layernorm(x, gamma, beta)
+        got = [out.data, *out._node.rule(g)]
+        want = _layernorm_untiled(x.data, gamma.data, beta.data, g)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+    def test_rule_writes_into_nothing_it_reads(self, rng, g_dtype):
+        x, gamma, beta = _layernorm_leaves(rng, np.float32)
+        out = T.layernorm(x, gamma, beta)
+        g = rng.standard_normal(out.shape).astype(g_dtype)
+        kept = _closure_arrays(out._node.rule)
+        saved = [a.tobytes() for a in kept] + [g.tobytes(), out.data.tobytes()]
+        first = out._node.rule(g)
+        second = out._node.rule(g)
+        assert [a.tobytes() for a in kept] + [g.tobytes(), out.data.tobytes()] == saved
+        assert first[0].dtype == np.result_type(g, x.data) and first[0] is not g
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("probe_dtype", [np.float32, np.float64])
+    def test_backward_twice_on_one_graph_doubles_the_gradient(self, rng, probe_dtype):
+        leaves = _layernorm_leaves(rng, np.float32)
+        probe = Tensor(rng.standard_normal(leaves[0].shape).astype(probe_dtype))
+        loss = T.sum_all(T.mul(T.layernorm(*leaves), probe))
+        loss.backward()
+        once = [t.grad.copy() for t in leaves]
+        loss.backward()
+        for t, g in zip(leaves, once):
+            np.testing.assert_array_equal(t.grad, 2 * g)
+
+
+def _layernorm_leaves(rng, dtype):
+    """x of 21 rows of width 7, gamma and beta, as leaves that require grad."""
+    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+            for s in [(3, 7, 7), (7,), (7,)]]
+
+
+def _layernorm_untiled(x, gamma, beta, g):
+    """Layer norm's output and its three gradients in whole-array numpy: the
+    operations ``T.layernorm`` runs tile by tile, in the same order."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + 1e-6)
+    normed = centered * inv_std
+    gy = g * gamma
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = (gy * normed).mean(axis=-1, keepdims=True)
+    d = x.shape[-1]
+    return (gamma * normed + beta, inv_std * (gy - m1 - normed * m2),
+            (g * normed).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0))
 
 
 class TestBackward:
@@ -361,7 +421,30 @@ def gelu_float64(x):
     return 0.5 * x * (1.0 + t), 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 
 
+def _gelu_untiled(x, g):
+    """GELU's output and ``g`` times its derivative in whole-array numpy: the
+    operations ``T.gelu`` runs tile by tile, in the same order."""
+    t = np.tanh((x * x * x * 0.044715 + x) * math.sqrt(2.0 / math.pi))
+    local = (x * (3.0 * 0.044715) * x + 1.0) * math.sqrt(2.0 / math.pi)
+    local *= (1.0 - t * t) * x * 0.5
+    local += (t + 1.0) * 0.5
+    return (t + 1.0) * x * 0.5, g * local
+
+
 class TestGelu:
+    @pytest.mark.parametrize("dtype, g_dtype", [(np.float32, np.float32),
+                                                (np.float32, np.float64),
+                                                (np.float64, np.float64)])
+    def test_output_and_gradient_equal_the_untiled_chain_byte_for_byte(
+            self, rng, dtype, g_dtype):
+        x = (4 * rng.standard_normal((3, 5, 12))).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(g_dtype)
+        out = T.gelu(Tensor(x, requires_grad=True))
+        got = [out.data, *out._node.rule(g)]
+        for a, b in zip(got, _gelu_untiled(x, g)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
     def test_float32_matches_float64_formula(self):
         """|f32 - f64| <= 2 eps max(1, |x|) forward and 4 eps max(1, |x|) backward.
 
@@ -467,6 +550,92 @@ class TestFeedForward:
         loss.backward()
         for t, g in zip(leaves, once):
             np.testing.assert_array_equal(t.grad, 2 * g)
+
+
+@pytest.fixture(params=[61, 5], ids=["tile61", "tile5"])
+def small_tile(request, monkeypatch):
+    """``T._TILE`` cut so that tiles end mid-row (61 elements) or are narrower
+    than a row (5)."""
+    monkeypatch.setattr(T, "_TILE", request.param)
+
+
+@pytest.mark.usefixtures("small_tile")
+class TestGeluInSmallTiles(TestGelu):
+    """Every ``TestGelu`` case again, in tiles smaller than its arrays."""
+
+
+@pytest.mark.usefixtures("small_tile")
+class TestFeedForwardInSmallTiles(TestFeedForward):
+    """Every ``TestFeedForward`` case again, in tiles smaller than its arrays."""
+
+
+@pytest.mark.usefixtures("small_tile")
+class TestLayerNormInSmallTiles(TestLayerNorm):
+    """Every ``TestLayerNorm`` case again, in tiles smaller than its arrays."""
+
+
+# sha256 of preset tiny's logits and of its gradients' bytes concatenated in
+# ``parameters()`` order: seed 0, images ``default_rng(1).random((2, 32, 32, 3))``
+# in float32, labels [1, 2], cross-entropy; then the same after ``astype``
+TINY_SHA256 = {
+    np.float32: ("fa707fe7b3b1096f9dcb5195256a852d082cacd2143652c8a3c86426aa7c40ee",
+                 "8b239616ee9f66a1e4ff2cfa0ef5d831bb582ddf8ce665fe0ae2b41f01334117"),
+    np.float64: ("ab02d2adcee2532a4f764108422a4166b4774d52ceb034c06806352da8089f10",
+                 "a9803a902ca1a6a21384f5be0f11a7655cb3a90c6d47e5820878642ffeb227fb"),
+}
+
+
+class TestTiles:
+    @pytest.mark.parametrize("tile", [T._TILE, 61, 5], ids=["default", "tile61", "tile5"])
+    def test_tiny_logits_and_gradients_keep_their_bytes_at_any_tile(self, monkeypatch, tile):
+        """The pinned hashes are those of whole-array GELU and layer norm."""
+        monkeypatch.setattr(T, "_TILE", tile)
+        model = build_model(preset_config("tiny", seed=0))
+        images = np.random.default_rng(1).random((2, 32, 32, 3), dtype=np.float32)
+        for dtype, want in TINY_SHA256.items():
+            model.astype(dtype)
+            logits = model(Tensor(images.astype(dtype)))
+            T.cross_entropy_with_logits(logits, np.array([1, 2])).backward()
+            grads = b"".join(p.grad.tobytes() for p in model.parameters())
+            got = (hashlib.sha256(logits.data.tobytes()).hexdigest(),
+                   hashlib.sha256(grads).hexdigest())
+            assert got == want, dtype
+
+    def test_the_ffn_rule_peaks_near_two_hidden_size_arrays(self, rng):
+        """Dual-ViT S's stage-1 pixel FFN: 3,136 tokens of width 64, ratio 8.
+        Measured here with tracemalloc: 4.02 hidden-size arrays with ``t``, the
+        activation and the derivative as whole arrays; 2.12 with ``g @ w2ᵀ``
+        and the activation whole and the rest in tiles."""
+        shapes = [(1, 3136, 64), (64, 512), (512,), (512, 64), (64,)]
+        leaves = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                  for s in shapes]
+        out = T.feedforward(*leaves)
+        g = np.ones(out.shape, np.float32)
+        hidden = 3136 * 512 * 4
+        tracemalloc.start()
+        try:
+            grads = out._node.rule(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == 5
+        assert peak <= 2.5 * hidden, peak / hidden
+
+    def test_the_layernorm_forward_peaks_near_two_input_sized_arrays(self, rng):
+        """At (1, 3136, 64), measured here with tracemalloc: 4.09 input-sized
+        arrays with whole-array temporaries; 2.40 with the output and the
+        standardized rows whole and the rest in tiles."""
+        x = Tensor(rng.standard_normal((1, 3136, 64)).astype(np.float32), requires_grad=True)
+        gamma = Tensor(np.ones(64, np.float32), requires_grad=True)
+        beta = Tensor(np.zeros(64, np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = T.layernorm(x, gamma, beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert peak <= 2.5 * x.data.nbytes, peak / x.data.nbytes
 
 
 def _fused_and_composed_results(rng, fused, composed, leaves, frozen):
