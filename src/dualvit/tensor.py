@@ -42,8 +42,10 @@ Their forward GEMMs run through ``matmul`` under ``no_grad``, so whatever
 replaces ``matmul`` to count MACs sees every forward GEMM once. Their
 backwards, the recomputed score GEMM included, use plain numpy ``@`` and never
 ``matmul``, so such a count includes no backward work. Each takes every value
-and gradient with the same numpy operations, in the same order, as its
-primitive ops would, so results are byte-identical to theirs.
+and gradient with the same numpy operations, in the same order, as a chain
+of primitive nodes would (``matmul``, ``add``, ``mul``, ``reshape``,
+``transpose`` and nodes over the ``_softmax`` and ``_gelu`` kernels), so
+results are byte-identical to that chain's.
 
 GELU and layer norm run each chain of in-place passes over tiles of ``_TILE``
 elements (whole rows for layer norm) that stay in cache, writing into the
@@ -298,26 +300,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _make(a.data * s, (a,), lambda g: (g * s,))
-
-
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Numerically stabilized softmax along the last axis."""
-    if a.data.ndim == 0 or a.shape[-1] < 1:
-        raise DimensionError(f"softmax needs a non-empty last dimension, got {a.shape}")
-    out = _softmax(a.data)
-    return _make(out, (a,), lambda g: (_softmax_grad(g, out),))
-
-
-def _softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax of ``x`` along the last axis, shifted by the row maximum, written
-    into ``out``: a fresh array when ``None``, ``x`` itself to run in place."""
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    into ``x`` itself, which it returns."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -390,33 +379,32 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu(x: np.ndarray, out: np.ndarray, g: np.ndarray | None = None,
-          act: np.ndarray | None = None) -> np.ndarray:
-    """One pass over tiles of ``x`` with ``t = tanh(√(2/π)(x + 0.044715 x³))``:
-    GELU ``0.5 x (1 + t)`` into ``out``, making ``t`` there; or, given ``g``,
-    ``g`` times GELU's derivative into ``out`` (which may be ``g``) and GELU
-    into ``act`` if given, making ``t`` in scratch. ``out`` and ``act`` are
-    C-contiguous; the cube is two multiplies, not ``np.power``. Returns ``out``.
+def _gelu(x: np.ndarray, out: np.ndarray, act: np.ndarray | None = None) -> np.ndarray:
+    """GELU, tanh approximation: ``0.5 x (1 + t)`` with ``t = tanh(√(2/π)(x +
+    0.044715 x³))``, in one pass over tiles of ``x``. Without ``act``, GELU goes
+    into ``out``, making ``t`` there. With ``act``, ``out`` holds a gradient:
+    it is multiplied in place by GELU's derivative, and GELU goes into ``act``,
+    making ``t`` in scratch. ``out`` and ``act`` are C-contiguous; the cube is
+    two multiplies, not ``np.power``. Returns ``out``.
     """
     xf, of = x.reshape(-1), out.reshape(-1)
-    af = of if g is None else None if act is None else act.reshape(-1)
-    if g is not None:
-        gf, scratch = g.reshape(-1), np.empty((3, min(_TILE, xf.size)), x.dtype)
+    af = of if act is None else act.reshape(-1)
+    if act is not None:
+        scratch = np.empty((3, min(_TILE, xf.size)), x.dtype)
     for lo in range(0, xf.size, _TILE):
         hi = min(lo + _TILE, xf.size)
         xs = xf[lo:hi]
-        t = of[lo:hi] if g is None else scratch[0, :hi - lo]
+        t = of[lo:hi] if act is None else scratch[0, :hi - lo]
         np.multiply(xs, xs, out=t)
         t *= xs
         t *= _GELU_A
         t += xs
         t *= _GELU_C
         np.tanh(t, out=t)
-        if af is not None:
-            y = np.add(t, 1.0, out=af[lo:hi])
-            y *= xs
-            y *= 0.5
-        if g is None:
+        y = np.add(t, 1.0, out=af[lo:hi])
+        y *= xs
+        y *= 0.5
+        if act is None:
             continue
         # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
         local, tmp = scratch[1:, :hi - lo]
@@ -432,18 +420,8 @@ def _gelu(x: np.ndarray, out: np.ndarray, g: np.ndarray | None = None,
         np.add(t, 1.0, out=tmp)
         tmp *= 0.5
         local += tmp
-        np.multiply(gf[lo:hi], local, out=of[lo:hi])
+        of[lo:hi] *= local
     return out
-
-
-def gelu(a: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(√(2/π)(x + 0.044715 x³))).
-
-    The node keeps only ``x``; the backward recomputes ``t`` from it.
-    """
-    x = a.data
-    out = _gelu(x, np.empty(x.shape, x.dtype))
-    return _make(out, (a,), lambda g: (_gelu(x, np.empty(x.shape, np.result_type(g, x)), g),))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +461,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     in the score buffer, and the heads are merged back into a fresh (B, n_q,
     d) array. The node keeps only ``q``, ``k`` and ``v``: the backward
     recomputes the probabilities with the same numpy operations and takes
-    every gradient with plain numpy, byte for byte as the primitive ops would.
+    every gradient with plain numpy, byte for byte as the primitive nodes would.
     """
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % heads:
@@ -500,7 +478,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     with no_grad():
         p = matmul(Tensor(split(q.data)), Tensor(split(k.data).swapaxes(-1, -2))).data
         p *= s
-        _softmax(p, out=p)
+        _softmax(p)
         mixed = matmul(Tensor(p), Tensor(split(v.data))).data
     out = mixed.transpose(0, 2, 1, 3).reshape(batch, n_q, d)
     qd, kd, vd = q.data, k.data, v.data
@@ -513,7 +491,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         qh, kh, vh = split(qd), split(kd), split(vd)
         p = qh @ kh.swapaxes(-1, -2)
         p *= s
-        _softmax(p, out=p)
+        _softmax(p)
         gm = np.ascontiguousarray(split(g))
         gq = gk = gv = None
         if v_grad:
@@ -534,25 +512,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
 
 def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Token-wise ``gelu(x w1 + b1) w2 + b2`` as one node.
+    """Token-wise ``GELU(x w1 + b1) w2 + b2`` as one node.
 
-    The forward runs ``linear``, ``gelu`` and ``linear`` under ``no_grad``, so
-    anything that patches ``matmul`` to count MACs sees both forward GEMMs and
-    both biases are added in place. The node keeps only ``x`` and the
-    pre-activation ``h = x w1 + b1``. The backward recomputes GELU from ``h``
-    and takes every gradient with plain numpy, never through ``matmul``, byte
-    for byte as the five primitive nodes would.
+    The forward runs ``linear``, the ``_gelu`` kernel and ``linear`` under
+    ``no_grad``, so anything that patches ``matmul`` to count MACs sees both
+    forward GEMMs and both biases are added in place. The node keeps only
+    ``x`` and the pre-activation ``h = x w1 + b1``. The backward recomputes
+    GELU from ``h`` and takes every gradient with plain numpy, never through
+    ``matmul``, byte for byte as the five primitive nodes would.
     """
     with no_grad():
-        pre = linear(x, w1, b1)
-        out = linear(gelu(pre), w2, b2).data
-    xd, h, w1d, w2d = x.data, pre.data, w1.data, w2.data
+        h = linear(x, w1, b1).data
+        out = linear(Tensor(_gelu(h, np.empty(h.shape, h.dtype))), w2, b2).data
+    xd, w1d, w2d = x.data, w1.data, w2.data
     x_requires_grad = x.requires_grad
 
     def backward(g: np.ndarray):
         # one pass writes the activation and turns g @ w2ᵀ into gh in place
         gh, act = g @ w2d.T, np.empty_like(h)
-        _gelu(h, gh, gh, act)
+        _gelu(h, gh, act)
         gw2 = act.reshape(-1, act.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         del act
         gw1 = xd.reshape(-1, xd.shape[-1]).T @ gh.reshape(-1, gh.shape[-1])

@@ -207,7 +207,7 @@ def gradcheck_block(kind: str, tolerance: float = 1e-4, samples: int = 200,
         def loss_fn() -> Tensor:
             # scaled down for the same finite-difference noise reason as above
             ce = T.cross_entropy_with_logits(model(Tensor(images, dtype=dt)), labels)
-            return T.scale(ce, 1.0 / 128.0)
+            return T.mul(ce, Tensor(np.asarray(1.0 / 128.0, dt)))
 
         params = list(model.named_parameters())
         return gradcheck(loss_fn, params, tolerance, samples, seed=seed)

@@ -194,7 +194,7 @@ def test_debug_switch_makes_a_non_finite_op_result_raise():
     probe = ("import numpy as np, dualvit.tensor as T\n"
              "x = T.Tensor(np.array([1e30], np.float32))\n"
              "with np.errstate(over='ignore'):\n"
-             "    T.scale(x, 1e30)\n")
+             "    T.mul(x, x)\n")
     done = _python("-c", probe, DUALVIT_DEBUG="1")
     assert done.returncode == 1
     assert "FloatingPointError: non-finite value produced by forward op" in done.stderr

@@ -1,0 +1,60 @@
+"""Every top-level function and class in ``src/dualvit`` has a user in ``src/``.
+
+An AST scan, so no production code exists only for a test. A name counts as
+referenced when ``src/`` reads it through its module (``T.matmul`` after
+``from . import tensor as T``), or as a bare name in the module that defines
+it or imports it by name; a definition's references to itself do not count.
+A bare name elsewhere is some other binding (``training._randomize``'s
+``scale`` parameter is no module's function), and so is an attribute of
+anything but a module (``p.data.astype``).
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dualvit"
+
+# Documented API whose users live outside src/; each entry names them.
+ALLOWED = {
+    # the DVDS writer: perfbench's tiny-train set-up and the data, CLI and
+    # acceptance tests write packed datasets with it
+    ("data", "save_packed_dataset"),
+}
+
+
+def _definitions_and_references():
+    """(module, name) of every top-level definition, and of every reference."""
+    defined, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(), str(path))
+        names, modules = {}, {}  # bare name -> (module, name); alias -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    if node.module:
+                        names[a.asname or a.name] = (node.module, a.name)
+                    else:
+                        modules[a.asname or a.name] = a.name
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add((module, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                        and node.value.id in modules:
+                    referenced.add((modules[node.value.id], node.attr))
+                elif isinstance(node, ast.Name) and node.id != owner:
+                    referenced.add(names.get(node.id, (module, node.id)))
+    return defined, referenced
+
+
+def test_every_top_level_definition_is_referenced_from_src():
+    defined, referenced = _definitions_and_references()
+    unreferenced = defined - referenced - ALLOWED
+    assert sorted(f"{module}.{name}" for module, name in unreferenced) == []
+
+
+def test_every_allowlisted_name_is_one_the_scan_flags():
+    defined, referenced = _definitions_and_references()
+    assert ALLOWED <= defined - referenced

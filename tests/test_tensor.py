@@ -43,6 +43,12 @@ def assert_grad_close(analytic, numeric, tol=1e-4, atol=1e-7):
     assert rel.max() < tol, f"max rel grad error {rel.max():.3e}"
 
 
+def _times(a, s):
+    """``a`` times the constant ``s``, as a ``mul`` node. The 0-d constant takes
+    ``a``'s dtype: under NEP 50 a float64 one would promote a float32 product."""
+    return T.mul(a, Tensor(np.asarray(s, a.data.dtype)))
+
+
 class TestMatmul:
     def test_identity(self, rng):
         m = rng.standard_normal((2, 2))
@@ -102,31 +108,35 @@ class TestMatmul:
         assert gw.tobytes() == (np.swapaxes(a.data, -1, -2) @ g).sum(axis=0).tobytes()
 
 
+def _softmax_of_copy(x):
+    """The in-place ``_softmax`` kernel, run on a copy of ``x``."""
+    x = np.array(x, dtype=np.float64)
+    out = T._softmax(x)
+    assert out is x
+    return out
+
+
 class TestSoftmax:
     def test_uniform(self):
-        out = T.softmax_lastdim(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, rtol=1e-6)
+        out = _softmax_of_copy([0.0, 0.0, 0.0])
+        np.testing.assert_allclose(out, [1 / 3] * 3, rtol=1e-6)
 
     def test_analytic_forced(self):
-        out = T.softmax_lastdim(Tensor([0.0, math.log(2.0)]))
-        np.testing.assert_allclose(out.data, [1 / 3, 2 / 3], rtol=1e-6)
+        out = _softmax_of_copy([0.0, math.log(2.0)])
+        np.testing.assert_allclose(out, [1 / 3, 2 / 3], rtol=1e-6)
 
     def test_stabilized(self):
-        out = T.softmax_lastdim(Tensor([1000.0, 0.0]))
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] == pytest.approx(1.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty_last_dim(self):
-        with pytest.raises(DimensionError):
-            T.softmax_lastdim(Tensor(np.zeros((2, 0))))
+        out = _softmax_of_copy([1000.0, 0.0])
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(1.0)
+        assert out[1] == pytest.approx(0.0, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(st.floats(-50, 50), min_size=1, max_size=6),
                     min_size=1, max_size=4).filter(
                         lambda rows: len({len(r) for r in rows}) == 1))
     def test_rows_are_distributions(self, rows):
-        out = T.softmax_lastdim(Tensor(np.asarray(rows, dtype=np.float64))).data
+        out = _softmax_of_copy(rows)
         assert np.all(out > 0) and np.all(out <= 1)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -235,7 +245,7 @@ class TestBackward:
 
     def test_half_square_norm(self):
         w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        T.scale(T.sum_all(T.mul(w, w)), 0.5).backward()
+        _times(T.sum_all(T.mul(w, w)), 0.5).backward()
         np.testing.assert_allclose(w.grad, [1.0, -2.0], rtol=1e-6)
 
     def test_non_scalar_loss_rejected(self):
@@ -247,7 +257,7 @@ class TestBackward:
         w = Tensor(np.ones(3), requires_grad=True)
         if kind == "no_grad":
             with T.no_grad():
-                loss = T.sum_all(T.scale(w, 2.0))
+                loss = T.sum_all(_times(w, 2.0))
         else:
             loss = T.sum_all(Tensor(np.ones(3)))
         with pytest.raises(ContractError, match="records a graph"):
@@ -267,7 +277,7 @@ class TestBackward:
 
     def test_repeated_backward_on_one_graph_accumulates(self):
         w = Tensor(np.ones(2), requires_grad=True)
-        loss = T.sum_all(T.scale(w, 2.0))
+        loss = T.sum_all(_times(w, 2.0))
         loss.backward()
         loss.backward()
         np.testing.assert_array_equal(w.grad, 4 * np.ones(2))
@@ -277,7 +287,7 @@ class TestBackward:
         b = Tensor(rng.standard_normal(4), requires_grad=True)
         results = [T.matmul(Tensor(rng.standard_normal((2, 3))), w)]
         results.append(T.add(results[-1], b))
-        results.append(T.gelu(results[-1]))
+        results.append(_times(results[-1], 3.0))
         results.append(T.mul(results[-1], results[-1]))
         results.append(T.sum_all(results[-1]))
         results[-1].backward()
@@ -309,18 +319,17 @@ class TestBackward:
     def test_random_graph_vs_finite_differences(self, rng):
         w = Tensor(rng.standard_normal((3, 4)).astype(np.float64), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 3)).astype(np.float64), requires_grad=True)
+        gamma, beta = Tensor(rng.standard_normal(3)), Tensor(rng.standard_normal(3))
         probe = rng.standard_normal((3, 3))
 
-        def forward():
-            h = T.gelu(T.matmul(w, b))
-            s = T.softmax_lastdim(h)
-            return T.sum_all(T.mul(s, Tensor(probe))).item()
+        def build():
+            h = T.layernorm(T.matmul(w, b), gamma, beta)
+            return T.sum_all(T.mul(T.mul(h, h), Tensor(probe)))
 
-        loss = None
-        h = T.gelu(T.matmul(w, b))
-        s = T.softmax_lastdim(h)
-        loss = T.sum_all(T.mul(s, Tensor(probe)))
-        loss.backward()
+        def forward():
+            return build().item()
+
+        build().backward()
         assert_grad_close(w.grad, finite_diff(forward, w.data), tol=1e-6)
         assert_grad_close(b.grad, finite_diff(forward, b.data), tol=1e-6)
 
@@ -397,7 +406,7 @@ class TestTapeBuffers:
 
     @pytest.mark.parametrize("build, factor", [
         (lambda s: T.mul(s, s), lambda s: 2 * s),
-        (lambda s: T.add(T.scale(s, 2.0), T.scale(s, 3.0)), lambda s: 5.0),
+        (lambda s: T.add(_times(s, 2.0), _times(s, 3.0)), lambda s: 5.0),
     ], ids=["mul", "two_scales"])
     def test_a_scalar_with_two_consumers_sums_both(self, build, factor):
         """Rules on a 0-d gradient return numpy scalars; the tape must still add both."""
@@ -423,12 +432,32 @@ def gelu_float64(x):
 
 def _gelu_untiled(x, g):
     """GELU's output and ``g`` times its derivative in whole-array numpy: the
-    operations ``T.gelu`` runs tile by tile, in the same order."""
+    operations ``T._gelu`` runs tile by tile, in the same order."""
     t = np.tanh((x * x * x * 0.044715 + x) * math.sqrt(2.0 / math.pi))
     local = (x * (3.0 * 0.044715) * x + 1.0) * math.sqrt(2.0 / math.pi)
     local *= (1.0 - t * t) * x * 0.5
     local += (t + 1.0) * 0.5
     return (t + 1.0) * x * 0.5, g * local
+
+
+def _gelu_both_modes(x, g):
+    """``T._gelu``'s two modes: GELU into a fresh array; then GELU into ``act``
+    with a copy of ``g`` multiplied in place by the derivative."""
+    out = T._gelu(x, np.empty(x.shape, x.dtype))
+    gx, act = g.copy(), np.empty(x.shape, x.dtype)
+    assert T._gelu(x, gx, act) is gx
+    return out, act, gx
+
+
+def _gelu_node(a):
+    """A GELU node over the ``_gelu`` kernel: the node that ``T.feedforward``'s
+    chain of primitive nodes would record between its two ``linear``s."""
+    x = a.data
+
+    def backward(g):
+        return (T._gelu(x, np.array(g, np.result_type(g, x)), np.empty(x.shape, x.dtype)),)
+
+    return T._make(T._gelu(x, np.empty(x.shape, x.dtype)), (a,), backward)
 
 
 class TestGelu:
@@ -439,9 +468,9 @@ class TestGelu:
             self, rng, dtype, g_dtype):
         x = (4 * rng.standard_normal((3, 5, 12))).astype(dtype)
         g = rng.standard_normal(x.shape).astype(g_dtype)
-        out = T.gelu(Tensor(x, requires_grad=True))
-        got = [out.data, *out._node.rule(g)]
-        for a, b in zip(got, _gelu_untiled(x, g)):
+        out, act, gx = _gelu_both_modes(x, g)
+        want_out, want_grad = _gelu_untiled(x, g)
+        for a, b in ((out, want_out), (act, want_out), (gx, want_grad)):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
@@ -452,21 +481,19 @@ class TestGelu:
         sweeps of [-12, 12] and ±[1e-6, 1e5] are 0.97 and 1.9 of those units.
         """
         x = GELU_GRID.astype(np.float32)
-        a = Tensor(x, requires_grad=True)
-        out = T.gelu(a)
-        T.sum_all(out).backward()
+        out, act, grad = _gelu_both_modes(x, np.ones_like(x))
         want_out, want_grad = gelu_float64(x)
         unit = np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x.astype(np.float64)))
-        assert out.data.dtype == np.float32 and a.grad.dtype == np.float32
-        assert np.all(np.abs(out.data - want_out) <= 2 * unit)
-        assert np.all(np.abs(a.grad - want_grad) <= 4 * unit)
+        assert out.dtype == np.float32 and grad.dtype == np.float32
+        assert np.all(np.abs(out - want_out) <= 2 * unit)
+        assert np.all(np.abs(grad - want_grad) <= 4 * unit)
 
     @pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
     def test_rule_writes_into_neither_input_nor_gradient(self, rng, g_dtype):
         x = rng.standard_normal((3, 5)).astype(np.float32)
         g = rng.standard_normal((3, 5)).astype(g_dtype)
         a = Tensor(x.copy(), requires_grad=True)
-        out = T.gelu(a)
+        out = _gelu_node(a)
         saved_out, saved_g = out.data.copy(), g.copy()
         (first,) = out._node.rule(g)
         (second,) = out._node.rule(g)
@@ -480,7 +507,7 @@ class TestGelu:
     def test_backward_twice_on_one_graph_doubles_the_gradient(self, rng, probe_dtype):
         a = Tensor(rng.standard_normal((4, 6)).astype(np.float32), requires_grad=True)
         probe = Tensor(rng.standard_normal((4, 6)).astype(probe_dtype))
-        loss = T.sum_all(T.mul(T.gelu(a), probe))
+        loss = T.sum_all(T.mul(_gelu_node(a), probe))
         loss.backward()
         once = a.grad.copy()
         loss.backward()
@@ -495,7 +522,7 @@ def _ffn_leaves(rng, dtype, batch=3, tokens=5, dim=4, hidden=12):
 
 def _ffn_composed(x, w1, b1, w2, b2):
     """The five primitive nodes that ``T.feedforward`` stands for."""
-    return T.add(T.matmul(T.gelu(T.add(T.matmul(x, w1), b1)), w2), b2)
+    return T.add(T.matmul(_gelu_node(T.add(T.matmul(x, w1), b1)), w2), b2)
 
 
 def _closure_arrays(rule) -> list[np.ndarray]:
@@ -712,8 +739,12 @@ def _attention_composed(q, k, v, heads=2):
     def split(x, axes=(0, 2, 1, 3)):
         return T.transpose(T.reshape(x, (b, x.shape[1], heads, head_dim)), axes)
 
-    scores = T.scale(T.matmul(split(q), split(k, (0, 2, 3, 1))), 1.0 / math.sqrt(head_dim))
-    mixed = T.matmul(T.softmax_lastdim(scores), split(v))
+    def softmax(a):  # a node over the ``_softmax`` kernel, run on a copy
+        p = T._softmax(a.data.copy())
+        return T._make(p, (a,), lambda g: (T._softmax_grad(g, p),))
+
+    scores = _times(T.matmul(split(q), split(k, (0, 2, 3, 1))), 1.0 / math.sqrt(head_dim))
+    mixed = T.matmul(softmax(scores), split(v))
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n_q, d))
 
 
@@ -886,19 +917,19 @@ class TestNoGrad:
         w = Tensor(np.ones(3), requires_grad=True)
         with T.no_grad():
             with T.no_grad():
-                inner = T.scale(w, 2.0)
-            outer = T.gelu(w)
-        after = T.scale(w, 2.0)
+                inner = _times(w, 2.0)
+            outer = T.layernorm(w, Tensor(np.ones(3)), Tensor(np.zeros(3)))
+        after = _times(w, 2.0)
         for t in (inner, outer):
             assert not t.requires_grad and t._node is None
             assert t.grad is None
-        assert after.requires_grad and after._node.parents == (w,) and after.grad is None
+        assert after.requires_grad and after._node.parents == (w, None) and after.grad is None
 
     def test_recording_resumes_after_an_exception(self):
         w = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(DimensionError), T.no_grad():
             T.add(w, Tensor(np.ones(2)))
-        assert T.scale(w, 2.0).requires_grad
+        assert _times(w, 2.0).requires_grad
 
 
 @pytest.mark.parametrize("axis", [1])  # the token axis of a 3-D input
@@ -946,15 +977,14 @@ class TestConcatSplit:
     def test_split_backward_routes_slices(self, rng):
         x = Tensor(rng.standard_normal((1, 4, 2)), requires_grad=True)
         a, b = T.split(x, [1, 3])
-        T.sum_all(T.scale(b, 2.0)).backward()
+        T.sum_all(_times(b, 2.0)).backward()
         expected = np.zeros((1, 4, 2))
         expected[:, 1:, :] = 2.0
         np.testing.assert_array_equal(x.grad, expected)
 
 
 @pytest.mark.parametrize("op_name", [
-    "matmul", "add", "mul", "scale", "softmax", "layernorm", "gelu",
-    "mean", "reshape", "transpose", "concat", "split", "cross_entropy", "feedforward",
+    "matmul", "add", "mul", "layernorm", "mean", "reshape", "transpose", "concat", "split", "cross_entropy", "feedforward",
     "linear", "attention",
 ])
 def test_op_gradients_match_finite_differences(op_name, rng):
@@ -975,14 +1005,8 @@ def test_op_gradients_match_finite_differences(op_name, rng):
             return T.sum_all(T.mul(T.add(x, y), Tensor(probe)))
         if op_name == "mul":
             return T.sum_all(T.mul(T.mul(x, y), Tensor(probe)))
-        if op_name == "scale":
-            return T.sum_all(T.mul(T.scale(x, -1.7), Tensor(probe)))
-        if op_name == "softmax":
-            return T.sum_all(T.mul(T.softmax_lastdim(x), Tensor(probe)))
         if op_name == "layernorm":
             return T.sum_all(T.mul(T.layernorm(x, gamma, beta), Tensor(probe)))
-        if op_name == "gelu":
-            return T.sum_all(T.mul(T.gelu(x), Tensor(probe)))
         if op_name == "mean":
             return T.sum_all(T.mul(T.mean(x), Tensor(probe[:, 0, :])))
         if op_name == "reshape":
@@ -996,7 +1020,7 @@ def test_op_gradients_match_finite_differences(op_name, rng):
         if op_name == "split":
             a, b = T.split(x, [1, 3])
             return T.add(T.sum_all(T.mul(a, Tensor(probe[:, :1]))),
-                         T.sum_all(T.scale(b, 0.5)))
+                         T.sum_all(_times(b, 0.5)))
         if op_name == "cross_entropy":
             return T.cross_entropy_with_logits(T.reshape(x, (8, 4)), labels)
         if op_name == "feedforward":
@@ -1006,7 +1030,7 @@ def test_op_gradients_match_finite_differences(op_name, rng):
             return T.sum_all(T.mul(T.linear(x, ffn["w1"], ffn["b1"]),
                                    Tensor(np.concatenate([probe, probe[..., :2]], axis=-1))))
         if op_name == "attention":
-            return T.sum_all(T.mul(T.attention(x, y, T.scale(y, -0.5), 2), Tensor(probe)))
+            return T.sum_all(T.mul(T.attention(x, y, _times(y, -0.5), 2), Tensor(probe)))
         raise AssertionError(op_name)
 
     loss = build()
@@ -1025,7 +1049,7 @@ def test_op_gradients_match_finite_differences(op_name, rng):
 
 def test_a_0d_op_result_is_an_array():
     w = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
-    out = T.scale(T.sum_all(w), 0.5)
+    out = _times(T.sum_all(w), 0.5)
     assert type(out.data) is np.ndarray and out.data.shape == ()
     assert out.data.dtype == np.float32
 
@@ -1033,15 +1057,17 @@ def test_a_0d_op_result_is_an_array():
 def test_forward_determinism(rng):
     a = rng.standard_normal((4, 4))
     b = rng.standard_normal((4, 4))
-    r1 = T.softmax_lastdim(T.matmul(Tensor(a), Tensor(b))).data
-    r2 = T.softmax_lastdim(T.matmul(Tensor(a), Tensor(b))).data
+    gamma, beta = Tensor(rng.standard_normal(4)), Tensor(rng.standard_normal(4))
+    r1 = T.layernorm(T.matmul(Tensor(a), Tensor(b)), gamma, beta).data
+    r2 = T.layernorm(T.matmul(Tensor(a), Tensor(b)), gamma, beta).data
     np.testing.assert_array_equal(r1, r2)
 
 
 def test_debug_mode_catches_nonfinite(monkeypatch):
     monkeypatch.setattr(T, "_debug_checks", True)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        T.scale(Tensor(np.array([1e308])), 1e308)
+        x = Tensor(np.array([1e308]))
+        T.mul(x, x)
 
 
 def test_mean_over_axis(rng):
