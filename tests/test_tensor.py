@@ -731,6 +731,13 @@ class TestLinear:
             T.linear(x, w, Tensor(np.zeros(5, np.float32)))
 
 
+def _softmax_node(a):
+    """A softmax node over the ``_softmax`` kernel, run on a copy, and its
+    ``_softmax_grad`` rule: the node ``T.attention`` stands for between its GEMMs."""
+    p = T._softmax(a.data.copy())
+    return T._make(p, (a,), lambda g: (T._softmax_grad(g, p),))
+
+
 def _attention_composed(q, k, v, heads=2):
     """The primitive nodes that ``T.attention`` stands for, in the order it runs them."""
     b, n_q, d = q.shape
@@ -739,12 +746,8 @@ def _attention_composed(q, k, v, heads=2):
     def split(x, axes=(0, 2, 1, 3)):
         return T.transpose(T.reshape(x, (b, x.shape[1], heads, head_dim)), axes)
 
-    def softmax(a):  # a node over the ``_softmax`` kernel, run on a copy
-        p = T._softmax(a.data.copy())
-        return T._make(p, (a,), lambda g: (T._softmax_grad(g, p),))
-
     scores = _times(T.matmul(split(q), split(k, (0, 2, 3, 1))), 1.0 / math.sqrt(head_dim))
-    mixed = T.matmul(softmax(scores), split(v))
+    mixed = T.matmul(_softmax_node(scores), split(v))
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n_q, d))
 
 
@@ -984,7 +987,7 @@ class TestConcatSplit:
 
 
 @pytest.mark.parametrize("op_name", [
-    "matmul", "add", "mul", "layernorm", "mean", "reshape", "transpose", "concat", "split", "cross_entropy", "feedforward",
+    "matmul", "add", "mul", "scale", "softmax", "layernorm", "gelu", "mean", "reshape", "transpose", "concat", "split", "cross_entropy", "feedforward",
     "linear", "attention",
 ])
 def test_op_gradients_match_finite_differences(op_name, rng):
@@ -1005,8 +1008,14 @@ def test_op_gradients_match_finite_differences(op_name, rng):
             return T.sum_all(T.mul(T.add(x, y), Tensor(probe)))
         if op_name == "mul":
             return T.sum_all(T.mul(T.mul(x, y), Tensor(probe)))
+        if op_name == "scale":  # a mul by a 0-d constant that needs no grad
+            return T.sum_all(T.mul(_times(x, -1.7), Tensor(probe)))
+        if op_name == "softmax":
+            return T.sum_all(T.mul(_softmax_node(x), Tensor(probe)))
         if op_name == "layernorm":
             return T.sum_all(T.mul(T.layernorm(x, gamma, beta), Tensor(probe)))
+        if op_name == "gelu":
+            return T.sum_all(T.mul(_gelu_node(x), Tensor(probe)))
         if op_name == "mean":
             return T.sum_all(T.mul(T.mean(x), Tensor(probe[:, 0, :])))
         if op_name == "reshape":
