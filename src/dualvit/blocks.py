@@ -56,24 +56,12 @@ class FeatureMap:
                 f"{self.height}x{self.width} spatial extent"
             )
 
-    @property
-    def channels(self) -> int:
-        return self.tokens.shape[-1]
-
 
 @dataclass
 class SemanticTokens:
     """The m compressed semantic tokens."""
 
     tokens: Tensor
-
-    @property
-    def count(self) -> int:
-        return self.tokens.shape[-2]
-
-    @property
-    def channels(self) -> int:
-        return self.tokens.shape[-1]
 
 
 class TransformerBlock(Module):
@@ -133,10 +121,6 @@ class DualBlock(Module):
         return z
 
     def __call__(self, x: FeatureMap, z: SemanticTokens) -> tuple[FeatureMap, SemanticTokens]:
-        if x.channels != z.channels:
-            raise ConfigError(
-                f"pathway channel mismatch: pixel {x.channels} vs semantic {z.channels}"
-            )
         z_next = self._semantic_pathway(x.tokens, z.tokens)
         xn = self.norm_x_pix(x.tokens)
         zn = self.norm_z_out(z_next)
@@ -164,7 +148,7 @@ class MergeBlock(Module):
         self.ffn_z = FeedForward(dim, semantic_ratio, rng)
 
     def __call__(self, x: FeatureMap, z: SemanticTokens) -> tuple[FeatureMap, SemanticTokens]:
-        n, m = x.tokens.shape[-2], z.count
+        n, m = x.tokens.shape[-2], z.tokens.shape[-2]
         joint = T.concat([x.tokens, z.tokens])
         yn = self.norm_joint(joint)
         mixed = T.add(self.attn(yn, yn), joint)
@@ -195,7 +179,7 @@ class PatchEmbed(Module):
             )
         b = x.tokens.shape[0]
         h_out, w_out = x.height // p, x.width // p
-        c = x.channels
+        c = x.tokens.shape[-1]
         grid = T.reshape(x.tokens, (b, h_out, p, w_out, p, c))
         patches = T.transpose(grid, (0, 1, 3, 2, 4, 5))
         flat = T.reshape(patches, (b, h_out * w_out, p * p * c))

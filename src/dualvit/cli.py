@@ -144,11 +144,11 @@ def _load_dataset(spec: str, cfg: ModelConfig, per_class: int, seed: int) -> dat
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     model = build_model(cfg, variant=args.variant)
-    dataset = _load_dataset(args.data, cfg, args.per_class, args.seed or 0)
+    dataset = _load_dataset(args.data, cfg, args.per_class, cfg.seed)
     os.makedirs(args.out, exist_ok=True)
     report = training.train_toy(model, dataset, steps=args.steps,
                                 batch_size=args.batch, lr=args.lr,
-                                weight_decay=args.wd, seed=args.seed or 0)
+                                weight_decay=args.wd, seed=cfg.seed)
     csv_path = os.path.join(args.out, "loss.csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -182,7 +182,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _resolve_config(args)
     if args.train_steps:
-        dataset = _load_dataset("synthetic", cfg, args.per_class, args.seed or 0)
+        dataset = _load_dataset("synthetic", cfg, args.per_class, cfg.seed)
     rows = []
     for variant in DUAL_VARIANTS:
         model = build_model(cfg, variant=variant)
@@ -191,7 +191,7 @@ def cmd_ablate(args) -> int:
                "gmacs": report.macs / 1e9}
         if args.train_steps:
             row["train_accuracy"] = training.train_toy(
-                model, dataset, steps=args.train_steps, seed=args.seed or 0
+                model, dataset, steps=args.train_steps, seed=cfg.seed
             ).final_accuracy
         rows.append(row)
     if args.json:

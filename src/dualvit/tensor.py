@@ -14,8 +14,12 @@ freed as the walk passes them, so repeated backward calls on one graph
 without ``zero_grad`` accumulate.
 
 Backward contract: a rule takes the output gradient and returns one gradient
-per parent, in ``_Node.parents`` order, or ``None`` for a parent it skips (a
-rule may skip an input that does not require grad). Rules never write
+per parent, in ``_Node.parents`` order, or ``None`` for a parent it skips;
+the tape drops a gradient returned for a parent that needs none. A rule skips
+only an input that its callers pass without grad: ``mul``'s constants (loss
+probes and scales), ``linear``'s input (a patch embed's pixels), ``layernorm``'s
+(``gradcheck_block``'s block inputs) and either operand of ``matmul``, the
+primitive the composite ops are checked against. Rules never write
 ``grad``: the tape sums each returned gradient down to its parent's shape,
 undoing numpy broadcasting. The first gradient a parent receives becomes the
 tape's buffer for it: the returned array itself when it is writeable, of the
@@ -439,13 +443,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     with no_grad():
         out = matmul(x, w).data
     out += b.data
-    xd = x.data if w.requires_grad else None
-    wd = w.data if x.requires_grad else None
+    xd = x.data
+    wd = w.data if x.requires_grad else None  # a patch embed's input needs no grad
 
     def backward(g: np.ndarray):
-        gw = None
-        if xd is not None:  # one GEMM over all leading axes
-            gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])  # one GEMM
         # the bias gradient is full-size: the tape sums it down
         return (g @ wd.T if wd is not None else None, gw, g)
 
@@ -461,7 +463,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     in the score buffer, and the heads are merged back into a fresh (B, n_q,
     d) array. The node keeps only ``q``, ``k`` and ``v``: the backward
     recomputes the probabilities with the same numpy operations and takes
-    every gradient with plain numpy, byte for byte as the primitive nodes would.
+    all three gradients with plain numpy, byte for byte as the primitive nodes
+    would, whether or not an input needs one.
     """
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % heads:
@@ -482,7 +485,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         mixed = matmul(Tensor(p), Tensor(split(v.data))).data
     out = mixed.transpose(0, 2, 1, 3).reshape(batch, n_q, d)
     qd, kd, vd = q.data, k.data, v.data
-    q_grad, k_grad, v_grad = q.requires_grad, k.requires_grad, v.requires_grad
 
     def merge(x: np.ndarray) -> np.ndarray:  # (B, heads, n, d_h) -> C-contiguous (B, n, d)
         return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(batch, x.shape[2], d)
@@ -493,20 +495,14 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         p *= s
         _softmax(p)
         gm = np.ascontiguousarray(split(g))
-        gq = gk = gv = None
-        if v_grad:
-            gv = merge(p.swapaxes(-1, -2) @ gm)
-        if q_grad or k_grad:
-            gs = _softmax_grad(gm @ vh.swapaxes(-1, -2), p)
-            del p
-            gs *= s
-            if q_grad:
-                gq = merge(gs @ kh)
-            if k_grad:
-                # the score GEMM's second operand was (B, heads, d_h, n_kv)
-                gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2))
-                gk = gk.reshape(batch, n_kv, d)
-        return (gq, gk, gv)
+        gv = merge(p.swapaxes(-1, -2) @ gm)
+        gs = _softmax_grad(gm @ vh.swapaxes(-1, -2), p)
+        del p
+        gs *= s
+        gq = merge(gs @ kh)
+        # the score GEMM's second operand was (B, heads, d_h, n_kv)
+        gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2))
+        return (gq, gk.reshape(batch, n_kv, d), gv)
 
     return _make(out, (q, k, v), backward)
 
@@ -518,14 +514,14 @@ def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     ``no_grad``, so anything that patches ``matmul`` to count MACs sees both
     forward GEMMs and both biases are added in place. The node keeps only
     ``x`` and the pre-activation ``h = x w1 + b1``. The backward recomputes
-    GELU from ``h`` and takes every gradient with plain numpy, never through
-    ``matmul``, byte for byte as the five primitive nodes would.
+    GELU from ``h`` and takes every gradient, ``x``'s included whether or not
+    it needs one, with plain numpy, never through ``matmul``, byte for byte as
+    the five primitive nodes would.
     """
     with no_grad():
         h = linear(x, w1, b1).data
         out = linear(Tensor(_gelu(h, np.empty(h.shape, h.dtype))), w2, b2).data
     xd, w1d, w2d = x.data, w1.data, w2.data
-    x_requires_grad = x.requires_grad
 
     def backward(g: np.ndarray):
         # one pass writes the activation and turns g @ w2ᵀ into gh in place
@@ -534,9 +530,8 @@ def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
         gw2 = act.reshape(-1, act.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         del act
         gw1 = xd.reshape(-1, xd.shape[-1]).T @ gh.reshape(-1, gh.shape[-1])
-        gx = gh @ w1d.T if x_requires_grad else None
         # the bias gradients are full-size: the tape sums them down
-        return (gx, gw1, gh, gw2, g)
+        return (gh @ w1d.T, gw1, gh, gw2, g)
 
     return _make(out, (x, w1, b1, w2, b2), backward)
 

@@ -65,7 +65,7 @@ class AdamW:
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1.0 - _B1 ** t, 1.0 - _B2 ** t
-        decay = 1.0 - lr * self.weight_decay if self.weight_decay else None
+        decay = 1.0 - lr * self.weight_decay
         n = self.arena.size
         lo, hi = 0, min(T._TILE, n)  # the chunk being gathered
         start = 0  # the arena offset of the parameter being gathered
@@ -91,8 +91,7 @@ class AdamW:
 def _adamw_update(p, g, m, v, s, d, lr, decay, c1, c2) -> None:
     """In place, into scratch ``s`` and ``d``: p *= decay; m = b1 m + (1 - b1) g;
     v = b2 v + ((1 - b2) g) g; p -= (lr (m / c1)) / (sqrt(v / c2) + eps)."""
-    if decay is not None:
-        p *= decay
+    p *= decay
     m *= _B1
     np.multiply(g, 1.0 - _B1, s)
     m += s

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from dualvit import tensor as T
-from dualvit.blocks import (DualBlock, FeatureMap, MergeBlock, PatchEmbed,
+from dualvit.blocks import (DUAL_VARIANTS, DualBlock, FeatureMap, MergeBlock, PatchEmbed,
                             SemanticTokens, SemanticTransition, TransformerBlock)
-from dualvit.errors import ConfigError, DimensionError, InputError
+from dualvit.errors import DimensionError, InputError
 from dualvit.nn import cast_and_draw
 from dualvit.tensor import Tensor
 from tests.test_complexity import dual_block_attention_macs, joint_attention_macs
@@ -105,9 +105,10 @@ class TestDualBlock:
         np.testing.assert_array_equal(x_out.tokens.data, x)
         np.testing.assert_array_equal(z_out.tokens.data, z)
 
-    def test_channel_mismatch_rejected(self, rng):
-        blk = DualBlock(8, 2, 2, 2, rng)
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("variant", DUAL_VARIANTS)
+    def test_channel_mismatch_rejected(self, rng, variant):
+        blk = DualBlock(8, 2, 2, 2, rng, variant=variant)
+        with pytest.raises(DimensionError):
             blk(_fm(rng, 4, 8), _st(rng, 2, 6))
 
     def test_gradients_reach_both_pathways(self, rng):

@@ -328,6 +328,18 @@ def test_config_file_field_checks(tmp_path, capsys, edit, fragment):
         assert fragment in err and "Traceback" not in err
 
 
+def test_a_config_files_seed_also_seeds_the_data_and_batch_order(tmp_path, capsys):
+    path = _tiny_config_with(tmp_path / "cfg.json", _set("seed", 5))
+    logs = []
+    for i, flags in enumerate([[], ["--seed", "5"]]):
+        out_dir = tmp_path / f"run{i}"
+        code, _, _ = run_cli(capsys, "train", "--config", path, "--steps", "3", "--batch", "4",
+                             "--per-class", "2", "--out", str(out_dir), *flags)
+        assert code == 0
+        logs.append((out_dir / "loss.csv").read_text())
+    assert logs[0] == logs[1]
+
+
 def _dvcp(manifest: bytes, payload: bytes = b"") -> bytes:
     body = b"DVCP" + struct.pack("<II", 2, len(manifest)) + manifest + payload
     return body + struct.pack("<I", zlib.crc32(body))
