@@ -170,7 +170,8 @@ def cmd_eval(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise InputError(f"checkpoint not found: {args.checkpoint}")
     model = data.load_checkpoint(args.checkpoint)
-    dataset = _load_dataset(args.data, model.config, args.per_class, args.seed)
+    seed = model.config.seed if args.seed is None else args.seed
+    dataset = _load_dataset(args.data, model.config, args.per_class, seed)
     acc = training.evaluate(model, dataset)
     if args.json:
         print(json.dumps({"accuracy": acc, "samples": len(dataset.labels)}))
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", default="synthetic")
     p.add_argument("--per-class", type=_int_at_least(1), default=8)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=None, help="override config seed")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_eval)
 

@@ -244,7 +244,8 @@ def load_checkpoint(path: str) -> DualViT:
     with open(path, "rb") as fh:
         manifest, count = _read_checkpoint(fh)
         with allocation_refused_as(ConfigError, "config"):
-            model = _unfilled(ModelConfig.from_dict(manifest["config"]), manifest["variant"])
+            model = _unfilled(ModelConfig.from_dict(manifest["config"]),
+                              manifest["variant"]).astype(np.float32)
         params = list(model.named_parameters())
         listed = [entry["name"] for entry in manifest["entries"]]
         names = [name for name, _ in params]

@@ -269,16 +269,16 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
     return T.add(t, zeros)
 
 
-def _unfilled(config: ModelConfig, variant: str, dtype=T.DEFAULT_DTYPE) -> DualViT:
-    """The model ``config`` describes, laid out in ``dtype`` with no weight drawn:
-    only for a caller that overwrites the whole arena."""
+def _unfilled(config: ModelConfig, variant: str) -> DualViT:
+    """The model ``config`` describes, with no weight drawn and no arena: only
+    for a caller that casts it and then overwrites the whole arena."""
     model = DualViT.__new__(DualViT)
     model._build(config, variant, [])
-    return model.astype(dtype)
+    return model
 
 
 def _rebuilt(config: ModelConfig, variant: str, arena: np.ndarray) -> DualViT:
-    model = _unfilled(config, variant, arena.dtype)
+    model = _unfilled(config, variant).astype(arena.dtype)
     model.arena[...] = arena
     return model
 

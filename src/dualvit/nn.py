@@ -78,11 +78,11 @@ class Module:
         return ((k, v) for k, v in vars(self).items() if isinstance(v, (Tensor, Module)))
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
-        """Each grad-requiring ``Tensor`` by dotted path, depth first over ``named_children``."""
+        """Each ``Tensor`` attribute by dotted path, depth first over ``named_children``."""
         for name, val in self.named_children():
             if isinstance(val, Module):
                 yield from val.named_parameters(f"{prefix}{name}.")
-            elif val.requires_grad:
+            else:
                 yield prefix + name, val
 
     def parameters(self) -> list[Tensor]:

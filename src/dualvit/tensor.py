@@ -14,23 +14,19 @@ freed as the walk passes them, so repeated backward calls on one graph
 without ``zero_grad`` accumulate.
 
 Backward contract: a rule takes the output gradient and returns one gradient
-per parent, in ``_Node.parents`` order, or ``None`` for a parent it skips;
-the tape drops a gradient returned for a parent that needs none. A rule skips
-only an input that its callers pass without grad: ``mul``'s constants (loss
-probes and scales), ``linear``'s input (a patch embed's pixels), ``layernorm``'s
-(``gradcheck_block``'s block inputs) and either operand of ``matmul``, the
-primitive the composite ops are checked against. Rules never write
-``grad``: the tape sums each returned gradient down to its parent's shape,
-undoing numpy broadcasting. The first gradient a parent receives becomes the
-tape's buffer for it: the returned array itself when it is writeable, of the
-parent's dtype and C-contiguous; else a C-contiguous copy of the parent's
-dtype, so every buffer the tape allocates is C-contiguous. Later gradients
-are added into that buffer, so the tape may write into an array a rule
-returned. A rule therefore returns only fresh arrays, its ``g``, or views of
-``g`` that do not overlap one another (the same array for two parents is
-allowed: the second gets a copy); never an array that the forward pass or
-another rule still reads. A leaf without a ``grad`` takes its buffer as its
-``grad``; a leaf that has one adds the buffer into it.
+per parent, in ``_Node.parents`` order, and the tape drops those of parents
+that need none. Rules never write ``grad``: the tape sums each returned
+gradient down to its parent's shape, undoing numpy broadcasting. The first
+gradient a parent receives becomes the tape's buffer for it: the returned
+array itself when it is writeable, of the parent's dtype and C-contiguous;
+else a C-contiguous copy of the parent's dtype, so every buffer the tape
+allocates is C-contiguous. Later gradients are added into that buffer, so
+the tape may write into an array a rule returned. A rule therefore returns
+only fresh arrays, its ``g``, or views of ``g`` that do not overlap one
+another (the same array for two parents is allowed: the second gets a copy);
+never an array that the forward pass or another rule still reads. A leaf
+without a ``grad`` takes its buffer as its ``grad``; a leaf that has one
+adds the buffer into it.
 
 Three ops are composite: each records one node for what would be several
 primitive nodes, and keeps less than they would.
@@ -177,8 +173,8 @@ class Tensor:
                 node.accumulate_grad(g)
                 continue
             taken: set[int] = set()  # ids of the arrays this node's parents own
-            for p, pg in zip(node.parents, node.rule(g) or ()):
-                if pg is None or p is None:
+            for p, pg in zip(node.parents, node.rule(g)):
+                if p is None:
                     continue
                 src = p if type(p) is _Node else p.data  # both have shape and dtype
                 shape, dtype = src.shape, src.dtype
@@ -203,7 +199,7 @@ class _Node:
 
     def __init__(self, parents: tuple, rule, data: np.ndarray):
         self.parents = parents
-        self.rule: Callable[[np.ndarray], Sequence[np.ndarray | None]] = rule
+        self.rule: Callable[[np.ndarray], Sequence[np.ndarray]] = rule
         self.shape = data.shape
         self.dtype = data.dtype
 
@@ -261,19 +257,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
     out = a.data @ b.data
-    # each gradient reads the other operand only
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-    b_is_weight = b.data.ndim == 2
+    ad, bd = a.data, b.data
 
     def backward(g: np.ndarray):
-        gb = None
-        if ad is not None:
-            if b_is_weight:  # one GEMM over all leading axes
-                gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.swapaxes(ad, -1, -2) @ g
-        return (g @ np.swapaxes(bd, -1, -2) if bd is not None else None, gb)
+        if bd.ndim == 2:  # one GEMM over all leading axes
+            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = np.swapaxes(ad, -1, -2) @ g
+        return (g @ np.swapaxes(bd, -1, -2), gb)
 
     return _make(out, (a, b), backward)
 
@@ -294,14 +285,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as exc:
         raise DimensionError(f"mul shapes incompatible: {a.shape} * {b.shape}") from exc
 
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-
-    def backward(g: np.ndarray):
-        return (g * bd if bd is not None else None,
-                g * ad if ad is not None else None)
-
-    return _make(out, (a, b), backward)
+    ad, bd = a.data, b.data
+    return _make(out, (a, b), lambda g: (g * bd, g * ad))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -343,12 +328,11 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         centered *= np.divide(1.0, var, out=inv_std[r])
         y = np.multiply(gd, centered, out=out[r])
         y += bd
-    a_requires_grad = a.requires_grad
 
     def backward(g: np.ndarray):
         g = g.reshape(-1, d)
         dt = np.result_type(g, gd, normed)
-        ga = np.empty(normed.shape, dt) if a_requires_grad else None
+        ga = np.empty(normed.shape, dt)
         # row 0 holds the gamma gradient's running sum, which each tile's rows
         # continue one after another from 0, as a sum over axis 0 adds them
         buf = np.empty((n + 1, d), dt)
@@ -357,17 +341,16 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             r = slice(lo, lo + n)
             gr, nr = g[r], normed[r]
             prod = buf[1:1 + len(nr)]
-            if a_requires_grad:
-                gy = np.multiply(gr, gd, out=ga[r])
-                m1 = _row_mean(gy)
-                m2 = _row_mean(np.multiply(gy, nr, out=prod))
-                gy -= m1
-                gy -= np.multiply(nr, m2, out=prod)
-                gy *= inv_std[r]
+            gy = np.multiply(gr, gd, out=ga[r])
+            m1 = _row_mean(gy)
+            m2 = _row_mean(np.multiply(gy, nr, out=prod))
+            gy -= m1
+            gy -= np.multiply(nr, m2, out=prod)
+            gy *= inv_std[r]
             np.multiply(gr, nr, out=prod)
             buf[0] = g_gamma
             np.add.reduce(buf[:1 + len(nr)], axis=0, out=g_gamma)
-        return (None if ga is None else ga.reshape(shape), g_gamma, g.sum(axis=0))
+        return (ga.reshape(shape), g_gamma, g.sum(axis=0))
 
     return _make(out.reshape(shape), (a, gamma, beta), backward)
 
@@ -443,13 +426,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     with no_grad():
         out = matmul(x, w).data
     out += b.data
-    xd = x.data
-    wd = w.data if x.requires_grad else None  # a patch embed's input needs no grad
+    xd, wd = x.data, w.data
 
     def backward(g: np.ndarray):
         gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])  # one GEMM
         # the bias gradient is full-size: the tape sums it down
-        return (g @ wd.T if wd is not None else None, gw, g)
+        return (g @ wd.T, gw, g)
 
     return _make(out, (x, w, b), backward)
 
@@ -464,7 +446,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     d) array. The node keeps only ``q``, ``k`` and ``v``: the backward
     recomputes the probabilities with the same numpy operations and takes
     all three gradients with plain numpy, byte for byte as the primitive nodes
-    would, whether or not an input needs one.
+    would.
     """
     if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or \
             q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % heads:
@@ -514,9 +496,8 @@ def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     ``no_grad``, so anything that patches ``matmul`` to count MACs sees both
     forward GEMMs and both biases are added in place. The node keeps only
     ``x`` and the pre-activation ``h = x w1 + b1``. The backward recomputes
-    GELU from ``h`` and takes every gradient, ``x``'s included whether or not
-    it needs one, with plain numpy, never through ``matmul``, byte for byte as
-    the five primitive nodes would.
+    GELU from ``h`` and takes every gradient with plain numpy, never through
+    ``matmul``, byte for byte as the five primitive nodes would.
     """
     with no_grad():
         h = linear(x, w1, b1).data

@@ -108,6 +108,22 @@ def test_train_then_eval_roundtrip(tmp_path, capsys):
     assert result["samples"] == 16
 
 
+def test_eval_scores_the_synthetic_set_of_the_checkpoints_seed(tmp_path, capsys):
+    """Each seed draws other class blobs: a model trained on seed 5's set scores
+    below chance on seed 0's, so a plain ``eval`` must take the config's seed."""
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "train", "--preset", "tiny", "--seed", "5", "--steps", "60",
+                         "--out", str(out_dir))
+    assert code == 0
+    accuracy = {}
+    for flags in ([], ["--seed", "5"], ["--seed", "0"]):
+        code, out, _ = run_cli(capsys, "eval", "--checkpoint", str(out_dir / "model.dvcp"),
+                               "--json", *flags)
+        assert code == 0
+        accuracy[tuple(flags)] = json.loads(out)["accuracy"]
+    assert accuracy[()] == accuracy[("--seed", "5")] > accuracy[("--seed", "0")]
+
+
 def test_eval_missing_checkpoint_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "eval", "--checkpoint", "/nope/model.dvcp")
     assert code == 2

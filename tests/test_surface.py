@@ -1,12 +1,13 @@
-"""Every top-level function and class in ``src/dualvit`` has a user in ``src/``.
+"""AST scans of ``src/dualvit``: every top-level function and class has a user
+in ``src/``, and only the tape reads ``requires_grad``.
 
-An AST scan, so no production code exists only for a test. A name counts as
-referenced when ``src/`` reads it through its module (``T.matmul`` after
-``from . import tensor as T``), or as a bare name in the module that defines
-it or imports it by name; a definition's references to itself do not count.
-A bare name elsewhere is some other binding (``training._randomize``'s
-``scale`` parameter is no module's function), and so is an attribute of
-anything but a module (``p.data.astype``).
+The first scan keeps out production code that exists only for a test. A name
+counts as referenced when ``src/`` reads it through its module (``T.matmul``
+after ``from . import tensor as T``), or as a bare name in the module that
+defines it or imports it by name; a definition's references to itself do not
+count. A bare name elsewhere is some other binding
+(``training._randomize``'s ``scale`` parameter is no module's function), and
+so is an attribute of anything but a module (``p.data.astype``).
 """
 
 import ast
@@ -58,3 +59,34 @@ def test_every_top_level_definition_is_referenced_from_src():
 def test_every_allowlisted_name_is_one_the_scan_flags():
     defined, referenced = _definitions_and_references()
     assert ALLOWED <= defined - referenced
+
+
+# The only code that may read ``requires_grad``: ``_make`` sets it on an op
+# result, the tape drops the gradients of parents that need none, and the
+# repr shows it. Rules return every parent's gradient and modules never ask.
+REQUIRES_GRAD_READERS = {"tensor._make", "tensor.Tensor.backward", "tensor.Tensor.__repr__"}
+
+
+def _requires_grad_readers():
+    """``module.qualname`` of each def (or module) whose body reads ``.requires_grad``.
+    A store, or a ``requires_grad=True`` keyword argument, is no read."""
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == "requires_grad" \
+                and isinstance(node.ctx, ast.Load):
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return readers
+
+
+def test_only_the_tape_reads_requires_grad():
+    readers = _requires_grad_readers()
+    assert sorted(readers - REQUIRES_GRAD_READERS) == []
+    assert readers >= REQUIRES_GRAD_READERS  # the list names no reader that is gone
