@@ -214,8 +214,13 @@ class DualViT(Module):
 
     def __reduce__(self):
         """Pickle and ``copy.deepcopy`` as config, variant and ``checked_arena()``, which
-        refuses a rebound parameter: a copy gets its own arena's dtype and bytes, no grads."""
+        refuses a rebound parameter: a copy gets its own arena's dtype and bytes, no grads.
+        Both hand ``_rebuilt`` a private array, which becomes the copy's arena."""
         return _rebuilt, (self.config, self.variant, self.checked_arena())
+
+    def __copy__(self):
+        """As a deep copy: ``copy.copy`` would hand ``_rebuilt`` this model's arena."""
+        return _rebuilt(self.config, self.variant, self.checked_arena().copy())
 
     def named_children(self):
         """The model's paths in manifest order: z0, pos_embed, embeds, transitions, blocks, head."""
@@ -271,15 +276,24 @@ def _tile_batch(t: Tensor, batch: int) -> Tensor:
 
 def _unfilled(config: ModelConfig, variant: str) -> DualViT:
     """The model ``config`` describes, with no weight drawn and no arena: only
-    for a caller that casts it and then overwrites the whole arena."""
+    for a caller that lays out its arena and then overwrites all of it."""
     model = DualViT.__new__(DualViT)
     model._build(config, variant, [])
     return model
 
 
 def _rebuilt(config: ModelConfig, variant: str, arena: np.ndarray) -> DualViT:
-    model = _unfilled(config, variant).astype(arena.dtype)
-    model.arena[...] = arena
+    """The model over ``arena``, an array made for it alone: each parameter
+    becomes a view of its slice, in ``named_parameters`` order, as ``astype``
+    lays them out, so no second arena is allocated."""
+    model = _unfilled(config, variant)
+    lo = 0
+    for p in model.parameters():
+        p.data = arena[lo:lo + p.data.size].reshape(p.data.shape)
+        lo += p.data.size
+    # the array every view names as its base: ``arena`` itself, or the buffer's
+    # array that pickle protocol 5 hands ``arena`` as a view of
+    model.arena = arena[:0].base
     return model
 
 

@@ -11,7 +11,10 @@ result's data is freed once neither the caller nor a rule holds it.
 ``Tensor.backward()`` walks the nodes in reverse topological order, summing
 gradients over fan-out. Only leaves keep a ``grad``: interior gradients are
 freed as the walk passes them, so repeated backward calls on one graph
-without ``zero_grad`` accumulate.
+without ``zero_grad`` accumulate. The order reaches each leaf right after its
+last consumer's rule, so its gradient is final and handed off there, to
+``Tensor.accumulate_grad`` or to the ``take`` a caller passes (an optimizer
+can fold it in and drop it before the rest of the graph is walked).
 
 Backward contract: a rule takes the output gradient and returns one gradient
 per parent, in ``_Node.parents`` order, and the tape drops those of parents
@@ -24,9 +27,9 @@ allocates is C-contiguous. Later gradients are added into that buffer, so
 the tape may write into an array a rule returned. A rule therefore returns
 only fresh arrays, its ``g``, or views of ``g`` that do not overlap one
 another (the same array for two parents is allowed: the second gets a copy);
-never an array that the forward pass or another rule still reads. A leaf
-without a ``grad`` takes its buffer as its ``grad``; a leaf that has one
-adds the buffer into it.
+never an array that the forward pass or another rule still reads. A leaf's
+final buffer goes to ``take``; by default a leaf without a ``grad`` takes it
+as its ``grad``, and a leaf that has one adds it in.
 
 Three ops are composite: each records one node for what would be several
 primitive nodes, and keeps less than they would.
@@ -128,8 +131,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        """Add this scalar's gradient to ``grad`` of every reachable leaf.
+    def backward(self, take=None) -> None:
+        """Hand this scalar's gradient of every reachable leaf to ``take(leaf,
+        g)``, by default ``Tensor.accumulate_grad``, which adds it to ``grad``.
 
         The walk visits the nodes reachable from this tensor's node. A node
         holds its parents' nodes, its rule and only the arrays the rule
@@ -138,8 +142,12 @@ class Tensor:
         gradients are locals of the call, each freed once its node's rule has
         run. A node's ``g`` leaves the tape before its rule runs, so the tape
         owns every buffer it takes from a rule (see the module docstring) and
-        may add into it. A tensor that does not require grad (a constant, or
-        a result made under ``no_grad``) reaches no leaf and is refused.
+        may add into it. The depth-first order puts a node's leaf parents
+        before its interior ones, so a leaf whose last consumer's rule has
+        just run is handed off at once, before any deeper node's rule: ``g``
+        is then final and the tape keeps no reference to it. A tensor that
+        does not require grad (a constant, or a result made under
+        ``no_grad``) reaches no leaf and is refused.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -147,6 +155,8 @@ class Tensor:
             )
         if not self.requires_grad:
             raise ContractError("backward requires a loss that records a graph")
+        if take is None:  # looked up per call, so a wrapper set on the class runs
+            take = Tensor.accumulate_grad
         root = self._node or self
         topo: list[_Node | Tensor] = []
         visited: set[int] = set()
@@ -161,16 +171,18 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             if type(node) is _Node:
-                for p in node.parents:
-                    if p is not None and id(p) not in visited:
-                        stack.append((p, False))
+                # leaves below interior nodes: the last pushed is walked first,
+                # so it is reached last from this node in the reversed order
+                ps = [p for p in node.parents if p is not None and id(p) not in visited]
+                stack.extend((p, False) for p in ps if type(p) is not _Node)
+                stack.extend((p, False) for p in ps if type(p) is _Node)
         grads = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if type(node) is not _Node:
-                node.accumulate_grad(g)
+                take(node, g)
                 continue
             taken: set[int] = set()  # ids of the arrays this node's parents own
             for p, pg in zip(node.parents, node.rule(g)):

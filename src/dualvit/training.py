@@ -14,6 +14,7 @@ max(|analytic|, |numeric|, 1e-8).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,12 +35,20 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 
 class AdamW:
     """Updates ``module.arena`` in place; ``m`` and ``v`` are laid out like it.
-    A step works in chunks of ``tensor._TILE`` elements, gathering each chunk's
-    gradient from the ``grad``s (``None`` reads as zeros) and doing the
-    formula's operations in its order, so the result equals the formula
-    evaluated out of place, bit for bit. A module never laid out by
-    ``Module.astype`` is refused, and so is, at ``step``, a parameter rebound
-    out of the arena (by a later ``astype``, say): build a new AdamW."""
+
+    A gradient reaches it in one of two ways. ``take``, handed to
+    ``Tensor.backward``, folds each gradient of at least ``tensor._TILE``
+    elements into ``m`` and ``v`` as soon as the tape has finished it, then
+    drops it, so a step never holds all of them at once; it keeps a smaller
+    gradient as the parameter's ``grad``. ``step`` then folds in the moments
+    of every parameter not folded yet, gathering their ``grad``s (``None``
+    reads as zeros) in chunks of ``tensor._TILE`` elements over runs of
+    adjacent arena slices, and applies the update to the arena in chunks.
+    Every element meets the formula's operations in its order, so the result
+    equals the formula evaluated out of place, bit for bit, whichever way its
+    gradient came. A module never laid out by ``Module.astype`` is refused,
+    and so is, at ``step``, a parameter rebound out of the arena (by a later
+    ``astype``, say): build a new AdamW."""
 
     def __init__(self, module: Module, weight_decay: float = 0.05):
         if module.arena is None:
@@ -52,6 +61,32 @@ class AdamW:
         self.v = np.zeros_like(self.arena)
         # the gathered gradient and the update's two temporaries, one chunk each
         self._g, self._s, self._d = np.empty((3, min(T._TILE, self.arena.size)), self.arena.dtype)
+        self._offsets = dict(zip(map(id, self.params), itertools.accumulate(
+            (p.data.size for p in self.params), initial=0)))
+        self._taken: dict[int, bool] = {}  # id of each parameter taken since step: folded?
+
+    def take(self, p: Tensor, g: np.ndarray) -> None:
+        """Take ``p``'s final gradient from ``Tensor.backward(take=...)``: fold one
+        of at least ``tensor._TILE`` elements into ``m`` and ``v`` now, in
+        chunks, and drop it; keep a smaller one as ``p.grad``. A second take of
+        ``p`` before ``step`` is refused."""
+        lo = self._offsets.get(id(p))
+        if lo is None:
+            raise ContractError("take was handed a tensor that is not a parameter of this AdamW")
+        if id(p) in self._taken:
+            raise ContractError("a parameter's gradient was taken twice before step")
+        if g.shape != p.data.shape:
+            raise ContractError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
+        folded = self._taken[id(p)] = g.size >= T._TILE
+        if not folded:
+            p.accumulate_grad(g)
+            return
+        if p.grad is not None:
+            raise ContractError("a parameter with a grad was taken: zero grads before backward")
+        g, tile = g.reshape(-1), len(self._s)
+        for a in range(0, g.size, tile):
+            b = min(a + tile, g.size)
+            _adamw_moments(g[a:b], self.m[lo + a:lo + b], self.v[lo + a:lo + b], self._s[:b - a])
 
     def step(self, lr: float) -> None:
         for i, p in enumerate(self.params):
@@ -66,32 +101,45 @@ class AdamW:
         t = self.step_count
         c1, c2 = 1.0 - _B1 ** t, 1.0 - _B2 ** t
         decay = 1.0 - lr * self.weight_decay
-        n = self.arena.size
-        lo, hi = 0, min(T._TILE, n)  # the chunk being gathered
-        start = 0  # the arena offset of the parameter being gathered
-        for p in self.params:
-            a, b = start, start + p.data.size
-            g = np.broadcast_to(0.0, b - a) if p.grad is None else p.grad.reshape(-1)
-            while a < b:
-                c = min(b, hi)
-                self._g[a - lo:c - lo] = g[a - start:c - start]
-                a = c
-                if a == hi:
-                    k = hi - lo
-                    _adamw_update(self.arena[lo:hi], self._g[:k], self.m[lo:hi], self.v[lo:hi],
-                                  self._s[:k], self._d[:k], lr, decay, c1, c2)
-                    lo, hi = hi, min(hi + T._TILE, n)
-            start = b
+        taken, self._taken = self._taken, {}
+        tile, lo = len(self._g), 0
+        for folded, run in itertools.groupby(self.params, lambda p: taken.get(id(p), False)):
+            run = list(run)
+            hi = lo + sum(p.data.size for p in run)
+            gathered = None if folded else _gathered(run, self._g)
+            for a in range(lo, hi, tile):
+                b = min(a + tile, hi)
+                s, m, v = self._s[:b - a], self.m[a:b], self.v[a:b]
+                if gathered is not None:
+                    _adamw_moments(next(gathered), m, v, s)
+                _adamw_apply(self.arena[a:b], m, v, s, self._d[:b - a], lr, decay, c1, c2)
+            lo = hi
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
 
-def _adamw_update(p, g, m, v, s, d, lr, decay, c1, c2) -> None:
-    """In place, into scratch ``s`` and ``d``: p *= decay; m = b1 m + (1 - b1) g;
-    v = b2 v + ((1 - b2) g) g; p -= (lr (m / c1)) / (sqrt(v / c2) + eps)."""
-    p *= decay
+def _gathered(params: list[Tensor], buf: np.ndarray):
+    """The ``grad``s of ``params`` (``None`` reads as zeros), laid end to end,
+    gathered into ``buf`` one chunk of its length at a time; yields each chunk."""
+    k = 0
+    for p in params:
+        g = np.broadcast_to(0.0, p.data.size) if p.grad is None else p.grad.reshape(-1)
+        a = 0
+        while a < g.size:
+            c = min(g.size - a, len(buf) - k)
+            buf[k:k + c] = g[a:a + c]
+            a, k = a + c, k + c
+            if k == len(buf):
+                yield buf
+                k = 0
+    if k:
+        yield buf[:k]
+
+
+def _adamw_moments(g, m, v, s) -> None:
+    """In place, into scratch ``s``: m = b1 m + (1 - b1) g; v = b2 v + ((1 - b2) g) g."""
     m *= _B1
     np.multiply(g, 1.0 - _B1, s)
     m += s
@@ -99,6 +147,12 @@ def _adamw_update(p, g, m, v, s, d, lr, decay, c1, c2) -> None:
     np.multiply(g, 1.0 - _B2, s)
     s *= g
     v += s
+
+
+def _adamw_apply(p, m, v, s, d, lr, decay, c1, c2) -> None:
+    """In place, into scratch ``s`` and ``d``: p *= decay;
+    p -= (lr (m / c1)) / (sqrt(v / c2) + eps)."""
+    p *= decay
     np.divide(m, c1, s)
     s *= lr
     np.divide(v, c2, d)
@@ -283,6 +337,11 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
     gave the last finite loss are restored and ``aborted`` is set. The
     ``DUALVIT_DEBUG`` sentinel stopping a step's forward counts as loss ``nan``.
 
+    Each backward hands its gradients to ``AdamW.take``, which folds every one
+    of at least ``tensor._TILE`` elements into the moments as the tape
+    finishes it, so a step never holds the whole gradient set; the bytes are
+    those of a plain ``backward()`` and ``step``.
+
     Deterministic under ``seed``: batch order comes from a seeded permutation
     stream, and all arithmetic is single-threaded numpy.
     """
@@ -315,7 +374,7 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
             break
         np.copyto(last_good, model.arena)
         opt.zero_grad()
-        loss.backward()
+        loss.backward(take=opt.take)
         del loss
         opt.step(lr=step_lr)
     acc = evaluate(model, dataset, batch_size)

@@ -4,6 +4,7 @@ import io
 import json
 import pickle
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -387,7 +388,9 @@ def test_a_build_that_raises_midway_leaves_the_next_build_to_draw_the_pinned_ini
     assert hashlib.sha256(arena.tobytes()).hexdigest() == TINY_ARENA_SHA256
 
 
-COPIERS = {"deepcopy": copy.deepcopy, "pickle": lambda m: pickle.loads(pickle.dumps(m))}
+COPIERS = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda m: pickle.loads(pickle.dumps(m)),
+           "pickle5": lambda m: pickle.loads(pickle.dumps(m, protocol=5))}
 
 
 @pytest.mark.parametrize("copier", sorted(COPIERS))
@@ -420,6 +423,34 @@ def test_a_copied_model_holds_its_own_arena_and_saves_and_steps_like_the_origina
         T.cross_entropy_with_logits(m(images), labels).backward()
         AdamW(m).step(1e-3)
     assert twin.arena.tobytes() == model.arena.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_copy_is_laid_out_over_the_array_the_copier_made(dtype):
+    """A copy's parameters are views of the array ``copy.deepcopy`` or
+    ``pickle.loads`` made, not of a second arena. Measured with tracemalloc on
+    tiny float32: a deep copy peaked at 2.11 arenas and an unpickling, its
+    pickle counted, at 3.12 while the rebuild copied that array; 1.11 and
+    2.12 once the model is laid out over it. (``pickle.dumps`` under protocol
+    4 peaks at 2.5 arenas by itself: numpy's ``tobytes`` and the pickle.)"""
+    model = build_model(preset_config("tiny")).astype(dtype)
+    copy.deepcopy(model)  # the first copy imports what copying needs
+    for protocol in (None, pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL):
+        tracemalloc.start()
+        try:
+            if protocol is None:
+                twin, bound = copy.deepcopy(model), 1.2
+            else:
+                pickled = pickle.dumps(model, protocol)
+                tracemalloc.reset_peak()
+                twin, bound = pickle.loads(pickled), 2.2
+                del pickled
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * model.arena.nbytes, (protocol, peak / model.arena.nbytes)
+        assert twin.arena.dtype == dtype and twin.arena.tobytes() == model.arena.tobytes()
+        assert all(p.data.base is twin.arena for p in twin.parameters())
 
 
 @pytest.mark.parametrize("copier", sorted(COPIERS))

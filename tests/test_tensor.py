@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvit import tensor as T
+from dualvit.blocks import DualBlock, FeatureMap, SemanticTokens
 from dualvit.errors import ContractError, DimensionError
 from dualvit.model import build_model, preset_config
 from dualvit.nn import FeedForward
@@ -315,6 +316,37 @@ class TestBackward:
         shared = [(i, j) for i in range(len(grads)) for j in range(i)
                   if np.shares_memory(grads[i], grads[j])]
         assert shared == []
+
+    def test_a_dual_block_hands_each_leaf_off_right_after_its_consumer(self, rng):
+        """``take`` gets each parameter's gradient once, straight after the
+        rule of its last consumer, with only that node's other leaves between,
+        and with the bytes that ``accumulate_grad`` keeps."""
+        block = DualBlock(16, 2, 4, 2, rng).astype(np.float64)
+        x, z = rng.standard_normal((2, 16, 16)), rng.standard_normal((2, 4, 16))
+        probes = rng.standard_normal((2, 16, 16)), rng.standard_normal((2, 4, 16))
+
+        def loss_of() -> Tensor:
+            fm, st = block(FeatureMap(Tensor(x), 4, 4), SemanticTokens(Tensor(z)))
+            return T.add(T.sum_all(T.mul(fm.tokens, Tensor(probes[0]))),
+                         T.sum_all(T.mul(st.tokens, Tensor(probes[1]))))
+
+        loss_of().backward()
+        plain = {id(p): p.grad for p in block.parameters()}
+        block.zero_grad()
+        loss, events = loss_of(), []
+        for node in _graph_nodes(loss):
+            node.rule = lambda g, node=node, rule=node.rule: (events.append(node), rule(g))[1]
+        loss.backward(take=lambda p, g: events.append((p, g)))
+        taken, consumer = [], None
+        for event in events:
+            if type(event) is T._Node:
+                consumer = event
+                continue
+            p, g = event
+            assert any(q is p for q in consumer.parents)
+            assert g.tobytes() == plain[id(p)].tobytes()
+            taken.append(id(p))
+        assert sorted(taken) == sorted(plain) and all(p.grad is None for p in block.parameters())
 
     def test_random_graph_vs_finite_differences(self, rng):
         w = Tensor(rng.standard_normal((3, 4)).astype(np.float64), requires_grad=True)
