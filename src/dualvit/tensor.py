@@ -10,11 +10,15 @@ result's data is freed once neither the caller nor a rule holds it.
 
 ``Tensor.backward()`` walks the nodes in reverse topological order, summing
 gradients over fan-out. Only leaves keep a ``grad``: interior gradients are
-freed as the walk passes them, so repeated backward calls on one graph
-without ``zero_grad`` accumulate. The order reaches each leaf right after its
-last consumer's rule, so its gradient is final and handed off there, to
-``Tensor.accumulate_grad`` or to the ``take`` a caller passes (an optimizer
-can fold it in and drop it before the rest of the graph is walked).
+freed as the walk passes them. A graph is walked once: each node drops its
+rule as soon as the rule has run, so an array that no rule still to run keeps
+is freed there, and later rules' temporaries reuse its memory. A backward that
+reaches a walked node is refused before any rule runs; backward calls over new
+graphs of the same leaves, without ``zero_grad``, accumulate. The order
+reaches each leaf right after its last consumer's rule, so its gradient is
+final and handed off there, to ``Tensor.accumulate_grad`` or to the ``take`` a
+caller passes (an optimizer can fold it in and drop it before the rest of the
+graph is walked).
 
 Backward contract: a rule takes the output gradient and returns one gradient
 per parent, in ``_Node.parents`` order, and the tape drops those of parents
@@ -136,18 +140,24 @@ class Tensor:
         g)``, by default ``Tensor.accumulate_grad``, which adds it to ``grad``.
 
         The walk visits the nodes reachable from this tensor's node. A node
-        holds its parents' nodes, its rule and only the arrays the rule
-        reads, so an op result's data is freed once neither the caller nor a
-        rule holds it. Fan-out sums; repeated calls accumulate. Interior
-        gradients are locals of the call, each freed once its node's rule has
-        run. A node's ``g`` leaves the tape before its rule runs, so the tape
-        owns every buffer it takes from a rule (see the module docstring) and
-        may add into it. The depth-first order puts a node's leaf parents
-        before its interior ones, so a leaf whose last consumer's rule has
-        just run is handed off at once, before any deeper node's rule: ``g``
-        is then final and the tape keeps no reference to it. A tensor that
-        does not require grad (a constant, or a result made under
-        ``no_grad``) reaches no leaf and is refused.
+        holds its parents' nodes, its rule and only the arrays the rule reads,
+        so an op result's data is freed once neither the caller nor a rule
+        holds it. Fan-out sums. The walk drops each node's rule, and the
+        tape's reference to its ``g``, as soon as the rule has returned: what
+        only that rule kept is freed there, while the walk goes on, and a
+        graph is walked once. A backward that reaches a walked node, from this
+        loss or another one built over it, raises ``ContractError`` while it
+        orders the nodes, before any rule runs or any gradient is handed off;
+        build the graph again instead. Interior gradients are locals of the
+        call, each freed once its node's rule has run. A node's ``g`` leaves
+        the tape before its rule runs, so the tape owns every buffer it takes
+        from a rule (see the module docstring) and may add into it. The
+        depth-first order puts a node's leaf parents before its interior ones,
+        so a leaf whose last consumer's rule has just run is handed off at
+        once, before any deeper node's rule: ``g`` is then final and the tape
+        keeps no reference to it. A tensor that does not require grad (a
+        constant, or a result made under ``no_grad``) reaches no leaf and is
+        refused.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -171,6 +181,9 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             if type(node) is _Node:
+                if node.rule is None:
+                    raise ContractError("backward reached a graph that was already walked: "
+                                        "build the graph again")
                 # leaves below interior nodes: the last pushed is walked first,
                 # so it is reached last from this node in the reversed order
                 ps = [p for p in node.parents if p is not None and id(p) not in visited]
@@ -184,8 +197,10 @@ class Tensor:
             if type(node) is not _Node:
                 take(node, g)
                 continue
+            # free what only this rule kept, and its g, before the next rule runs
+            pgs, node.rule, g = node.rule(g), None, None
             taken: set[int] = set()  # ids of the arrays this node's parents own
-            for p, pg in zip(node.parents, node.rule(g)):
+            for p, pg in zip(node.parents, pgs):
                 if p is None:
                     continue
                 src = p if type(p) is _Node else p.data  # both have shape and dtype
@@ -245,9 +260,15 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape``, undoing numpy broadcasting."""
+    """Sum ``g`` down to ``shape``, undoing numpy broadcasting, into an array
+    that shares no memory with ``g``. A leading axis of length 1 is indexed
+    away, not summed, when ``g`` is summed over more than one element anyway:
+    a sum over one element returns it, save that numpy 2 turns -0.0 into 0.0,
+    and a sum over more elements gives the same bytes whatever the sign of
+    its zeros."""
+    summed = g.size != math.prod(shape)
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = g[0] if len(g) == 1 and summed else g.sum(axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -334,7 +355,7 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         r = slice(lo, lo + n)
         xr = x[r]
         centered = np.subtract(xr, _row_mean(xr), out=normed[r])
-        var = _row_mean(np.multiply(centered, centered, out=sq[:len(xr)]))
+        var = _row_mean(np.square(centered, out=sq[:len(xr)]))
         var += 1e-6
         np.sqrt(var, out=var)
         centered *= np.divide(1.0, var, out=inv_std[r])
@@ -384,7 +405,7 @@ def _gelu(x: np.ndarray, out: np.ndarray, act: np.ndarray | None = None) -> np.n
     into ``out``, making ``t`` there. With ``act``, ``out`` holds a gradient:
     it is multiplied in place by GELU's derivative, and GELU goes into ``act``,
     making ``t`` in scratch. ``out`` and ``act`` are C-contiguous; the cube is
-    two multiplies, not ``np.power``. Returns ``out``.
+    a square and a multiply, not ``np.power``. Returns ``out``.
     """
     xf, of = x.reshape(-1), out.reshape(-1)
     af = of if act is None else act.reshape(-1)
@@ -394,7 +415,7 @@ def _gelu(x: np.ndarray, out: np.ndarray, act: np.ndarray | None = None) -> np.n
         hi = min(lo + _TILE, xf.size)
         xs = xf[lo:hi]
         t = of[lo:hi] if act is None else scratch[0, :hi - lo]
-        np.multiply(xs, xs, out=t)
+        np.square(xs, out=t)
         t *= xs
         t *= _GELU_A
         t += xs
@@ -411,7 +432,7 @@ def _gelu(x: np.ndarray, out: np.ndarray, act: np.ndarray | None = None) -> np.n
         local *= xs
         local += 1.0
         local *= _GELU_C
-        np.multiply(t, t, out=tmp)
+        np.square(t, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         tmp *= xs
         tmp *= 0.5

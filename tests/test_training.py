@@ -232,14 +232,13 @@ def test_take_keeps_only_gradients_below_a_tile_and_refuses_a_second_take(monkey
     plain = [p.grad for p in model.parameters()]
     model.zero_grad()
     opt = AdamW(model)
-    loss = loss_of()
-    loss.backward(take=opt.take)
+    loss_of().backward(take=opt.take)
     large = [p.data.size >= 61 for p in model.parameters()]
     assert 0 < sum(large) < len(large)
     for p, g, big in zip(model.parameters(), plain, large):
         assert p.grad is None if big else p.grad.tobytes() == g.tobytes()
     with pytest.raises(ContractError, match="taken twice before step"):
-        loss.backward(take=opt.take)
+        loss_of().backward(take=opt.take)
     opt.step(1e-3)
     opt.zero_grad()
     loss_of().backward(take=opt.take)  # a step lets every parameter be taken again
