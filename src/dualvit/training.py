@@ -36,19 +36,18 @@ _B1, _B2, _EPS = 0.9, 0.999, 1e-8
 class AdamW:
     """Updates ``module.arena`` in place; ``m`` and ``v`` are laid out like it.
 
-    A gradient reaches it in one of two ways. ``take``, handed to
-    ``Tensor.backward``, folds each gradient of at least ``tensor._TILE``
-    elements into ``m`` and ``v`` as soon as the tape has finished it, then
-    drops it, so a step never holds all of them at once; it keeps a smaller
-    gradient as the parameter's ``grad``. ``step`` then folds in the moments
-    of every parameter not folded yet, gathering their ``grad``s (``None``
-    reads as zeros) in chunks of ``tensor._TILE`` elements over runs of
-    adjacent arena slices, and applies the update to the arena in chunks.
-    Every element meets the formula's operations in its order, so the result
-    equals the formula evaluated out of place, bit for bit, whichever way its
-    gradient came. A module never laid out by ``Module.astype`` is refused,
-    and so is, at ``step``, a parameter rebound out of the arena (by a later
-    ``astype``, say): build a new AdamW."""
+    A gradient reaches it one way: ``take``, handed to ``Tensor.backward``,
+    folds each parameter's gradient into ``m`` and ``v`` in chunks of
+    ``tensor._TILE`` elements as soon as the tape has finished it, then drops
+    it, so a step never holds all of them at once. ``step`` folds a zero
+    gradient into the moments of every parameter not taken since the last
+    step, then applies the update to the arena in chunks. Every element meets
+    the formula's operations in its order, so the result equals the formula
+    evaluated out of place, bit for bit. A module never laid out by
+    ``Module.astype`` is refused. ``step`` refuses, before it changes a byte,
+    a parameter rebound out of the arena (by a later ``astype``, say: build a
+    new AdamW) and a parameter that holds a ``grad``, which it would ignore:
+    hand gradients over with ``backward(take=opt.take)``."""
 
     def __init__(self, module: Module, weight_decay: float = 0.05):
         if module.arena is None:
@@ -59,17 +58,17 @@ class AdamW:
         self.step_count = 0
         self.m = np.zeros_like(self.arena)
         self.v = np.zeros_like(self.arena)
-        # the gathered gradient and the update's two temporaries, one chunk each
-        self._g, self._s, self._d = np.empty((3, min(T._TILE, self.arena.size)), self.arena.dtype)
+        # the update's two temporaries, one chunk each; an empty arena's chunk
+        # length is 1, so that its loops still have a step
+        self._s, self._d = np.empty((2, min(T._TILE, self.arena.size) or 1), self.arena.dtype)
         self._offsets = dict(zip(map(id, self.params), itertools.accumulate(
             (p.data.size for p in self.params), initial=0)))
-        self._taken: dict[int, bool] = {}  # id of each parameter taken since step: folded?
+        self._taken: set[int] = set()  # ids of the parameters taken since step
 
     def take(self, p: Tensor, g: np.ndarray) -> None:
-        """Take ``p``'s final gradient from ``Tensor.backward(take=...)``: fold one
-        of at least ``tensor._TILE`` elements into ``m`` and ``v`` now, in
-        chunks, and drop it; keep a smaller one as ``p.grad``. A second take of
-        ``p`` before ``step`` is refused."""
+        """Take ``p``'s final gradient from ``Tensor.backward(take=...)``: fold it
+        into ``m`` and ``v`` now, in chunks, and drop it. A second take of ``p``
+        before ``step`` is refused."""
         lo = self._offsets.get(id(p))
         if lo is None:
             raise ContractError("take was handed a tensor that is not a parameter of this AdamW")
@@ -77,12 +76,7 @@ class AdamW:
             raise ContractError("a parameter's gradient was taken twice before step")
         if g.shape != p.data.shape:
             raise ContractError(f"gradient shape {g.shape} does not match parameter {p.data.shape}")
-        folded = self._taken[id(p)] = g.size >= T._TILE
-        if not folded:
-            p.accumulate_grad(g)
-            return
-        if p.grad is not None:
-            raise ContractError("a parameter with a grad was taken: zero grads before backward")
+        self._taken.add(id(p))
         g, tile = g.reshape(-1), len(self._s)
         for a in range(0, g.size, tile):
             b = min(a + tile, g.size)
@@ -93,49 +87,27 @@ class AdamW:
             if p.data.base is not self.arena:
                 raise ContractError(f"parameter {i} was rebound out of the arena AdamW "
                                     "updates; build a new AdamW")
-            if p.grad is not None and p.grad.shape != p.data.shape:
-                raise ContractError(
-                    f"gradient shape {p.grad.shape} does not match parameter {p.data.shape}"
-                )
+            if p.grad is not None:
+                raise ContractError(f"parameter {i} holds a grad, which AdamW does not read: "
+                                    "pass take=opt.take to backward")
+        zero = np.zeros((), self.arena.dtype)  # literal zeros turn -0.0 moments into +0.0
+        for p in self.params:
+            if id(p) not in self._taken:
+                self.take(p, np.broadcast_to(zero, p.data.shape))
+        self._taken = set()
         self.step_count += 1
         t = self.step_count
         c1, c2 = 1.0 - _B1 ** t, 1.0 - _B2 ** t
         decay = 1.0 - lr * self.weight_decay
-        taken, self._taken = self._taken, {}
-        tile, lo = len(self._g), 0
-        for folded, run in itertools.groupby(self.params, lambda p: taken.get(id(p), False)):
-            run = list(run)
-            hi = lo + sum(p.data.size for p in run)
-            gathered = None if folded else _gathered(run, self._g)
-            for a in range(lo, hi, tile):
-                b = min(a + tile, hi)
-                s, m, v = self._s[:b - a], self.m[a:b], self.v[a:b]
-                if gathered is not None:
-                    _adamw_moments(next(gathered), m, v, s)
-                _adamw_apply(self.arena[a:b], m, v, s, self._d[:b - a], lr, decay, c1, c2)
-            lo = hi
+        tile, n = len(self._s), self.arena.size
+        for a in range(0, n, tile):
+            b = min(a + tile, n)
+            _adamw_apply(self.arena[a:b], self.m[a:b], self.v[a:b], self._s[:b - a],
+                         self._d[:b - a], lr, decay, c1, c2)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-def _gathered(params: list[Tensor], buf: np.ndarray):
-    """The ``grad``s of ``params`` (``None`` reads as zeros), laid end to end,
-    gathered into ``buf`` one chunk of its length at a time; yields each chunk."""
-    k = 0
-    for p in params:
-        g = np.broadcast_to(0.0, p.data.size) if p.grad is None else p.grad.reshape(-1)
-        a = 0
-        while a < g.size:
-            c = min(g.size - a, len(buf) - k)
-            buf[k:k + c] = g[a:a + c]
-            a, k = a + c, k + c
-            if k == len(buf):
-                yield buf
-                k = 0
-    if k:
-        yield buf[:k]
 
 
 def _adamw_moments(g, m, v, s) -> None:
@@ -337,10 +309,9 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
     gave the last finite loss are restored and ``aborted`` is set. The
     ``DUALVIT_DEBUG`` sentinel stopping a step's forward counts as loss ``nan``.
 
-    Each backward hands its gradients to ``AdamW.take``, which folds every one
-    of at least ``tensor._TILE`` elements into the moments as the tape
-    finishes it, so a step never holds the whole gradient set; the bytes are
-    those of a plain ``backward()`` and ``step``.
+    Each backward hands every gradient to ``AdamW.take``, which folds it into
+    the moments as the tape finishes it, so a step never holds the whole
+    gradient set, and no parameter keeps a ``grad`` for ``step`` to refuse.
 
     Deterministic under ``seed``: batch order comes from a seeded permutation
     stream, and all arithmetic is single-threaded numpy.

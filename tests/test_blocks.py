@@ -163,6 +163,19 @@ class TestDualBlock:
             expected = ffn(cross_attn(blk.norm_z_mid, self_attn(blk.norm_z, z)))
         np.testing.assert_array_equal(blk._semantic_pathway(x, z).data, expected.data)
 
+    @pytest.mark.parametrize("variant", DUAL_VARIANTS)
+    def test_pixel_pathway_matches_hand_composition(self, rng, variant):
+        """The pixel tokens cross-attend to the updated semantic tokens."""
+        blk = DualBlock(8, 2, 2, 2, rng, variant=variant).astype(np.float64)
+        _randomize(blk, rng)
+        x, z = _fm(rng, 6, 8, 2, 3), _st(rng, 3, 8)
+        z_next = blk._semantic_pathway(x.tokens, z.tokens)
+        x_mid = T.add(blk.pix_cross(blk.norm_x_pix(x.tokens), blk.norm_z_out(z_next)), x.tokens)
+        expected = T.add(blk.pix_ffn(blk.norm_x_ffn(x_mid)), x_mid)
+        x_out, z_out = blk(x, z)
+        np.testing.assert_array_equal(x_out.tokens.data, expected.data)
+        np.testing.assert_array_equal(z_out.tokens.data, z_next.data)
+
     def test_variants_c_and_d_draw_identical_parameters(self):
         c = DualBlock(8, 2, 2, 2, np.random.default_rng(5), variant="C")
         d = DualBlock(8, 2, 2, 2, np.random.default_rng(5), variant="D")

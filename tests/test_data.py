@@ -420,8 +420,9 @@ def test_a_copied_model_holds_its_own_arena_and_saves_and_steps_like_the_origina
     assert (tmp_path / "a.dvcp").read_bytes() == (tmp_path / "b.dvcp").read_bytes()
     for m in (model, twin):
         m.zero_grad()
-        T.cross_entropy_with_logits(m(images), labels).backward()
-        AdamW(m).step(1e-3)
+        opt = AdamW(m)
+        T.cross_entropy_with_logits(m(images), labels).backward(take=opt.take)
+        opt.step(1e-3)
     assert twin.arena.tobytes() == model.arena.tobytes()
 
 

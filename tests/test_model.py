@@ -14,7 +14,8 @@ from dualvit.blocks import DUAL_VARIANTS
 from dualvit.complexity import count_macs
 from dualvit.data import load_checkpoint, save_checkpoint
 from dualvit.errors import ConfigError, FormatError, InputError
-from dualvit.model import DualViT, ModelConfig, StageSpec, build_model, preset_config
+from dualvit.model import (DualViT, ModelConfig, StageSpec, _tile_batch, build_model,
+                           preset_config)
 from dualvit.nn import Module
 
 # published per-stage architecture table: depth, heads, channels, E^x, E^z, patch
@@ -153,6 +154,23 @@ def test_a_built_models_config_cannot_change(tmp_path, rng):
     reloaded = load_checkpoint(str(tmp_path / "after.dvcp"))
     assert reloaded.config == cfg
     assert reloaded(images).data.tobytes() == logits.tobytes()
+
+
+def test_logits_are_the_head_of_the_mean_of_pixel_and_semantic_tokens(rng):
+    model = build_model(preset_config("tiny")).astype(np.float64)
+    images = rng.random((2, 32, 32, 3))
+    fm, z = model.features(images)
+    expected = model.head(model.head_norm(T.mean(T.concat([fm.tokens, z.tokens]))))
+    np.testing.assert_array_equal(model(images).data, expected.data)
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_tile_batch_holds_z0_in_every_row(batch):
+    model = build_model(preset_config("tiny"))
+    tiled = _tile_batch(model.z0, batch)
+    assert tiled.shape == (batch, *model.z0.shape[1:])
+    for row in tiled.data:
+        assert row.tobytes() == model.z0.data[0].tobytes()
 
 
 def test_pos_embed_flag_removes_parameter():

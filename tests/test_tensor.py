@@ -323,8 +323,8 @@ class TestBackward:
         """A backward that reaches a node of a walked graph, from the same loss
         or from another loss over its nodes, is refused while it orders the
         nodes: no rule runs, no gradient is handed off and no ``grad``, ``m``
-        or ``v`` byte changes. At a tile of 61 elements AdamW folds the larger
-        parameters into its moments as it takes them."""
+        or ``v`` byte changes. AdamW folds each gradient into its moments as it
+        takes it, at a tile of 61 elements in several chunks for the larger."""
         monkeypatch.setattr(T, "_TILE", 61)
         block = DualBlock(16, 2, 4, 2, rng).astype(np.float64)
         opt = AdamW(block)

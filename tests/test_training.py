@@ -30,7 +30,7 @@ def test_adamw_zero_grad_is_pure_decay():
     module = _module(np.array([2.0, -3.0]))
     p = module.p0
     opt = AdamW(module, weight_decay=0.05)
-    p.grad = np.zeros(2)
+    opt.take(p, np.zeros(2))
     opt.step(0.1)
     np.testing.assert_allclose(p.data, np.array([2.0, -3.0]) * (1 - 0.1 * 0.05))
 
@@ -39,10 +39,11 @@ def test_adamw_first_step_is_signed_lr():
     module = _module(np.array([1.0, 1.0, 1.0]))
     p = module.p0
     opt = AdamW(module, weight_decay=0.0)
-    p.grad = np.array([0.5, -2.0, 3.0])
+    g = np.array([0.5, -2.0, 3.0])
+    opt.take(p, g)
     opt.step(0.01)
     # with zero moments the bias-corrected update is lr * g/(|g| + eps)
-    np.testing.assert_allclose(p.data, 1.0 - 0.01 * np.sign(p.grad), rtol=1e-6)
+    np.testing.assert_allclose(p.data, 1.0 - 0.01 * np.sign(g), rtol=1e-6)
 
 
 def test_adamw_three_step_oracle():
@@ -62,7 +63,7 @@ def test_adamw_three_step_oracle():
     p = module.p0
     opt = AdamW(module, weight_decay=0.05)
     for g in grads:
-        p.grad = np.array([g])
+        opt.take(p, np.array([g]))
         opt.step(0.02)
     assert abs(p.data[0] - expected) <= 1e-7
 
@@ -83,7 +84,7 @@ def test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte():
     for t, lr in enumerate([1e-2, 5e-3, 1e-3], start=1):
         for i, p in enumerate(params):
             g = rng.standard_normal(p.data.shape, dtype=np.float32)
-            p.grad = g
+            opt.take(p, g)
             ref_p[i] *= 1.0 - lr * 0.05
             ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
             ref_v[i] = 0.999 * ref_v[i] + (1.0 - 0.999) * g * g
@@ -108,7 +109,7 @@ def test_adamw_refuses_a_parameter_rebound_after_construction():
     assert fresh.arena is model.arena and fresh.arena.dtype == np.float64
     p = model.parameters()[0]
     before = p.data.copy()
-    p.grad = np.ones_like(p.data)
+    fresh.take(p, np.ones_like(p.data))
     fresh.step(1e-2)
     assert np.all(p.data < before)
 
@@ -120,8 +121,10 @@ def test_adamw_over_no_parameters_steps_as_a_no_op():
     assert opt.arena.size == 0 and opt.step_count == 1
 
 
-def test_adamw_none_grad_updates_like_an_explicit_zero_grad_byte_for_byte():
-    """The middle parameter, which straddles a chunk boundary, has no gradient."""
+def test_adamw_parameter_not_taken_updates_like_one_taken_with_zeros_byte_for_byte():
+    """The middle parameter, which straddles a chunk boundary, is taken in the
+    first step and not in the second, so its moments decay there as if its
+    gradient were zeros."""
     shapes = [(5,), (300, 301), (3, 4)]
     runs = []
     for missing in (None, np.zeros(shapes[1], np.float32)):
@@ -129,10 +132,11 @@ def test_adamw_none_grad_updates_like_an_explicit_zero_grad_byte_for_byte():
                            for s in shapes))
         params = module.parameters()
         opt = AdamW(module)
-        for lr in (1e-2, 1e-3):
-            params[0].grad = np.full(shapes[0], 0.5, np.float32)
-            params[1].grad = missing
-            params[2].grad = np.full(shapes[2], -1.5, np.float32)
+        for lr, g in ((1e-2, np.full(shapes[1], 0.25, np.float32)), (1e-3, missing)):
+            opt.take(params[0], np.full(shapes[0], 0.5, np.float32))
+            if g is not None:
+                opt.take(params[1], g)
+            opt.take(params[2], np.full(shapes[2], -1.5, np.float32))
             opt.step(lr)
         runs.append((opt.arena.tobytes(), opt.m.tobytes(), opt.v.tobytes()))
     assert runs[0] == runs[1]
@@ -149,9 +153,9 @@ def test_adamw_refuses_a_block_never_laid_out_in_an_arena():
 @pytest.mark.parametrize("take", [False, True], ids=["plain", "take"])
 def test_adamw_over_parameters_above_and_below_a_tile_is_the_formula_byte_for_byte(take):
     """Parameters below, above, below, above and below a 64K-element tile, their
-    gradients from a backward: ``step`` gathers the moments of the runs of
-    parameters not folded, whether a plain ``backward()`` left every gradient
-    as a ``grad`` or ``take`` folded the large ones in the backward."""
+    gradients from a backward, whether ``take`` folds each one in the backward
+    or a plain ``backward()`` leaves them all as ``grad``s, handed to ``take``
+    after it: no parameter keeps a ``grad``."""
     rng = np.random.default_rng(5)
     shapes = [(5,), (300, 301), (3, 4), (70001,), (2,)]
     module = _module(*(rng.standard_normal(s, dtype=np.float32) for s in shapes))
@@ -166,10 +170,12 @@ def test_adamw_over_parameters_above_and_below_a_tile_is_the_formula_byte_for_by
         for p, g in zip(params, grads):  # p's gradient is g, exactly
             term = T.sum_all(T.mul(p, Tensor(g)))
             loss = term if loss is None else T.add(loss, term)
-        opt.zero_grad()
-        loss.backward(take=opt.take if take else None)
-        assert [p.grad is None for p in params] == [take and p.data.size >= T._TILE
-                                                    for p in params]
+        if take:
+            loss.backward(take=opt.take)
+        else:
+            loss.backward()
+            _take_grads(opt)
+        assert all(p.grad is None for p in params)
         for i, g in enumerate(grads):
             ref_p[i] *= 1.0 - lr * 0.05
             ref_m[i] = 0.9 * ref_m[i] + (1.0 - 0.9) * g
@@ -181,6 +187,36 @@ def test_adamw_over_parameters_above_and_below_a_tile_is_the_formula_byte_for_by
             assert p.data.tobytes() == ref_p[i].tobytes(), (t, i)
         assert opt.m.tobytes() == np.concatenate([m.reshape(-1) for m in ref_m]).tobytes(), t
         assert opt.v.tobytes() == np.concatenate([v.reshape(-1) for v in ref_v]).tobytes(), t
+
+
+@pytest.mark.parametrize("held", ["below", "above", "both"])
+def test_step_refuses_a_grad_left_by_a_plain_backward_before_it_changes_a_byte(held):
+    """AdamW reads no ``grad``, so ``step`` refuses a parameter below or above a
+    64K-element tile that holds one, before the step count, the arena, ``m``
+    or ``v`` change; the other parameter's gradient is handed to ``take``."""
+    rng = np.random.default_rng(8)
+    module = _module(*(rng.standard_normal(s, dtype=np.float32) for s in [(5,), (70001,)]))
+    params = module.parameters()
+    opt = AdamW(module)
+
+    def backward(take=None):
+        loss = None
+        for p in params:
+            term = T.sum_all(T.mul(p, Tensor(rng.standard_normal(p.data.shape, dtype=np.float32))))
+            loss = term if loss is None else T.add(loss, term)
+        loss.backward(take=take)
+
+    backward(take=opt.take)
+    opt.step(1e-2)  # the moments and the arena away from their first bytes
+    backward()
+    for p, size in zip(params, ["below", "above"]):
+        if held not in (size, "both"):
+            opt.take(p, p.grad)
+            p.zero_grad()
+    before = (opt.step_count, opt.arena.tobytes(), opt.m.tobytes(), opt.v.tobytes())
+    with pytest.raises(ContractError, match="holds a grad.*take=opt.take"):
+        opt.step(1e-2)
+    assert (opt.step_count, opt.arena.tobytes(), opt.m.tobytes(), opt.v.tobytes()) == before
 
 
 def _optimizers_made(monkeypatch) -> list[AdamW]:
@@ -195,16 +231,32 @@ def _optimizers_made(monkeypatch) -> list[AdamW]:
     return made
 
 
+def _take_grads(opt: AdamW) -> None:
+    """Hand every ``grad`` a plain ``backward()`` left to ``opt.take``, then clear them."""
+    for p in opt.params:
+        if p.grad is not None:
+            opt.take(p, p.grad)
+    opt.zero_grad()
+
+
 def _plain_backward(monkeypatch) -> None:
-    """From here on ``Tensor.backward`` ignores ``take``: every gradient goes to ``grad``."""
+    """From here on ``Tensor.backward(take=opt.take)`` runs a plain ``backward()``,
+    which leaves every gradient as a ``grad``, and only then hands them all to
+    ``opt.take``: the whole gradient set is held before any is folded."""
     backward = Tensor.backward
-    monkeypatch.setattr(Tensor, "backward", lambda self, take=None: backward(self))
+
+    def plain(self, take):
+        backward(self)
+        _take_grads(take.__self__)
+
+    monkeypatch.setattr(Tensor, "backward", plain)
 
 
 @pytest.mark.parametrize("tile", [T._TILE, 61], ids=["default", "tile61"])
 def test_train_toy_taking_gradients_keeps_the_bytes_of_a_plain_backward(monkeypatch, tile):
-    """At a tile of 61 elements most tiny parameters are "large", so ``take``
-    folds their moments in the backward; at the default none is."""
+    """Folding each gradient as the tape finishes it gives the bytes of folding
+    them all after the walk, at the default tile and at a tile of 61 elements,
+    where most tiny gradients span several tiles."""
     monkeypatch.setattr(T, "_TILE", tile)
     cfg = preset_config("tiny")
     data = make_synthetic(cfg.num_classes, 4, cfg.resolution, seed=6)
@@ -219,7 +271,7 @@ def test_train_toy_taking_gradients_keeps_the_bytes_of_a_plain_backward(monkeypa
     assert runs[0] == runs[1]
 
 
-def test_take_keeps_only_gradients_below_a_tile_and_refuses_a_second_take(monkeypatch):
+def test_take_folds_every_gradient_and_refuses_a_second_take(monkeypatch):
     monkeypatch.setattr(T, "_TILE", 61)
     cfg = preset_config("tiny")
     model = build_model(cfg)
@@ -229,14 +281,14 @@ def test_take_keeps_only_gradients_below_a_tile_and_refuses_a_second_take(monkey
         return T.cross_entropy_with_logits(model(images), np.array([3, 4]))
 
     loss_of().backward()
-    plain = [p.grad for p in model.parameters()]
-    model.zero_grad()
+    held = AdamW(model)
+    _take_grads(held)
     opt = AdamW(model)
     loss_of().backward(take=opt.take)
     large = [p.data.size >= 61 for p in model.parameters()]
     assert 0 < sum(large) < len(large)
-    for p, g, big in zip(model.parameters(), plain, large):
-        assert p.grad is None if big else p.grad.tobytes() == g.tobytes()
+    assert all(p.grad is None for p in model.parameters())
+    assert (opt.m.tobytes(), opt.v.tobytes()) == (held.m.tobytes(), held.v.tobytes())
     with pytest.raises(ContractError, match="taken twice before step"):
         loss_of().backward(take=opt.take)
     opt.step(1e-3)
@@ -248,15 +300,15 @@ def test_take_keeps_only_gradients_below_a_tile_and_refuses_a_second_take(monkey
 
 def test_taking_gradients_lowers_an_S_train_step_peak_by_the_taken_bytes(monkeypatch):
     """Preset S at resolution 64 has S's 22.8M parameters over few tokens. One
-    ``train_toy`` step that hands AdamW each gradient of at least a tile peaks
-    below the same step over a plain ``backward()`` by at least 80 % of those
-    gradients' bytes. Measured with tracemalloc: 293.3 MB against 377.9 MB,
-    with 84.6 MB of gradients taken."""
+    ``train_toy`` step that hands AdamW each gradient as the tape finishes it
+    peaks below the same step over a plain ``backward()``, which holds them all
+    until the walk ends, by at least 80 % of the gradients' bytes. Measured
+    with tracemalloc: 291.0 MB against 366.3 MB, with 90.3 MB of gradients."""
     cfg = preset_config("S", resolution=64)
     model = build_model(cfg)
     data = Dataset(np.random.default_rng(0).random((1, 64, 64, 3), dtype=np.float32),
                    np.array([3]), cfg.num_classes)
-    taken = sum(p.data.nbytes for p in model.parameters() if p.data.size >= T._TILE)
+    taken = sum(p.data.nbytes for p in model.parameters())
     peaks = []
     for plain in (False, True):
         if plain:
