@@ -167,8 +167,8 @@ class FeedForward(Module):
     """Token-wise expand -> GELU -> contract. No token mixing.
 
     One ``T.feedforward`` node over the ``expand`` and ``contract`` parameters:
-    a recorded graph keeps only the input and the pre-activation, and the
-    backward recomputes GELU.
+    a recorded graph keeps only the input, and the backward recomputes the
+    pre-activation (one more GEMM) and GELU.
     """
 
     def __init__(self, dim: int, ratio: int, rng: np.random.Generator):

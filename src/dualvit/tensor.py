@@ -42,26 +42,27 @@ primitive nodes, and keeps less than they would.
   added in place into the GEMM's output.
 - ``attention`` keeps only ``q``, ``k`` and ``v``, not the (B, heads, n_q,
   n_kv) probabilities: its backward recomputes them from ``q`` and ``k``.
-- ``feedforward`` keeps only its input and pre-activation; its backward
-  recomputes GELU from the pre-activation.
+- ``feedforward`` keeps only its input: its backward recomputes the
+  pre-activation with one GEMM, then GELU from it.
 
 Their forward GEMMs run through ``matmul`` under ``no_grad``, so whatever
 replaces ``matmul`` to count MACs sees every forward GEMM once. Their
-backwards, the recomputed score GEMM included, use plain numpy ``@`` and never
-``matmul``, so such a count includes no backward work. Each takes every value
-and gradient with the same numpy operations, in the same order, as a chain
-of primitive nodes would (``matmul``, ``add``, ``mul``, ``reshape``,
-``transpose`` and nodes over the ``_softmax`` and ``_gelu`` kernels), so
-results are byte-identical to that chain's.
+backwards, the recomputed score and pre-activation GEMMs included, use plain
+numpy ``@`` and never ``matmul``, so such a count includes no backward work.
+Each takes every value and gradient with the same numpy operations, in the
+same order, as a chain of primitive nodes would (``matmul``, ``add``, ``mul``,
+``reshape``, ``transpose`` and nodes over the ``_softmax`` and ``_gelu``
+kernels), so results are byte-identical to that chain's.
 
 GELU and layer norm run each chain of in-place passes over tiles of ``_TILE``
 elements (whole rows for layer norm) that stay in cache, writing into the
 arrays they return; ``feedforward``'s backward recomputes GELU, writes the
-activation and turns ``g @ w2ᵀ`` into the pre-activation gradient in one such
-pass. GEMMs never run in tiles: OpenBLAS's summation order can depend on the
-row count. Each element meets the numpy operations of a whole-array pass in
-their order, and each reduction the same values in the same order, so the
-bytes match (for layer norm, on inputs whose last axis is innermost in memory).
+activation over the recomputed pre-activation and turns ``g @ w2ᵀ`` into the
+pre-activation gradient in one such pass. GEMMs never run in tiles:
+OpenBLAS's summation order can depend on the row count. Each element meets
+the numpy operations of a whole-array pass in their order, and each reduction
+the same values in the same order, so the bytes match (for layer norm, on
+inputs whose last axis is innermost in memory).
 
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
@@ -404,8 +405,10 @@ def _gelu(x: np.ndarray, out: np.ndarray, act: np.ndarray | None = None) -> np.n
     0.044715 x³))``, in one pass over tiles of ``x``. Without ``act``, GELU goes
     into ``out``, making ``t`` there. With ``act``, ``out`` holds a gradient:
     it is multiplied in place by GELU's derivative, and GELU goes into ``act``,
-    making ``t`` in scratch. ``out`` and ``act`` are C-contiguous; the cube is
-    a square and a multiply, not ``np.power``. Returns ``out``.
+    making ``t`` in scratch. Each tile's GELU is written last, after the
+    derivative has read the tile, so ``act`` may be ``x`` itself. ``out`` and
+    ``act`` are C-contiguous; the cube is a square and a multiply, not
+    ``np.power``. Returns ``out``.
     """
     xf, of = x.reshape(-1), out.reshape(-1)
     af = of if act is None else act.reshape(-1)
@@ -421,26 +424,26 @@ def _gelu(x: np.ndarray, out: np.ndarray, act: np.ndarray | None = None) -> np.n
         t += xs
         t *= _GELU_C
         np.tanh(t, out=t)
-        y = np.add(t, 1.0, out=af[lo:hi])
-        y *= xs
+        if act is not None:
+            # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
+            local, tmp = scratch[1:, :hi - lo]
+            np.multiply(xs, 3.0 * _GELU_A, out=local)
+            local *= xs
+            local += 1.0
+            local *= _GELU_C
+            np.square(t, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= xs
+            tmp *= 0.5
+            local *= tmp
+            np.add(t, 1.0, out=tmp)
+            tmp *= 0.5
+            local += tmp
+            of[lo:hi] *= local
+        t += 1.0
+        # the derivative has read the tile of x: act may be x from here on
+        y = np.multiply(t, xs, out=af[lo:hi])
         y *= 0.5
-        if act is None:
-            continue
-        # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
-        local, tmp = scratch[1:, :hi - lo]
-        np.multiply(xs, 3.0 * _GELU_A, out=local)
-        local *= xs
-        local += 1.0
-        local *= _GELU_C
-        np.square(t, out=tmp)
-        np.subtract(1.0, tmp, out=tmp)
-        tmp *= xs
-        tmp *= 0.5
-        local *= tmp
-        np.add(t, 1.0, out=tmp)
-        tmp *= 0.5
-        local += tmp
-        of[lo:hi] *= local
     return out
 
 
@@ -528,19 +531,22 @@ def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     The forward runs ``linear``, the ``_gelu`` kernel and ``linear`` under
     ``no_grad``, so anything that patches ``matmul`` to count MACs sees both
     forward GEMMs and both biases are added in place. The node keeps only
-    ``x`` and the pre-activation ``h = x w1 + b1``. The backward recomputes
-    GELU from ``h`` and takes every gradient with plain numpy, never through
-    ``matmul``, byte for byte as the five primitive nodes would.
+    ``x``: the backward recomputes the pre-activation ``h = x w1 + b1`` as the
+    forward made it, one GEMM more, then GELU over ``h`` into ``h`` itself,
+    and takes every gradient with plain numpy, never through ``matmul``, byte
+    for byte as the five primitive nodes would.
     """
     with no_grad():
         h = linear(x, w1, b1).data
         out = linear(Tensor(_gelu(h, np.empty(h.shape, h.dtype))), w2, b2).data
-    xd, w1d, w2d = x.data, w1.data, w2.data
+    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
 
     def backward(g: np.ndarray):
-        # one pass writes the activation and turns g @ w2ᵀ into gh in place
-        gh, act = g @ w2d.T, np.empty_like(h)
-        _gelu(h, gh, act)
+        act = xd @ w1d
+        act += b1d
+        # one pass turns g @ w2ᵀ into gh in place and writes GELU over act
+        gh = g @ w2d.T
+        _gelu(act, gh, act)
         gw2 = act.reshape(-1, act.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         del act
         gw1 = xd.reshape(-1, xd.shape[-1]).T @ gh.reshape(-1, gh.shape[-1])

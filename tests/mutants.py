@@ -66,6 +66,23 @@ MUTANTS = (
            ("tests/test_training.py::test_take_folds_every_gradient_and_refuses_a_second_take",
             "tests/test_training.py::"
             "test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte")),
+    Mutant("src/dualvit/tensor.py",
+           "act += b1d", "pass",
+           "the FFN backward recomputes the pre-activation with its bias",
+           ("tests/test_tensor.py::TestFeedForward::"
+            "test_float32_output_and_gradients_equal_the_composition_byte_for_byte",)),
+    Mutant("src/dualvit/tensor.py",
+           "np.tanh(t, out=t)\n        if act is not None:\n",
+           "np.tanh(t, out=t)\n        if act is not None:\n"
+           "            y = np.add(t, 1.0, out=af[lo:hi])\n            y *= xs\n            y *= 0.5\n",
+           "_gelu writes the activation into act only after the derivative has read x",
+           ("tests/test_tensor.py::TestGelu::"
+            "test_gelu_written_over_its_input_keeps_the_bytes_of_a_fresh_activation",)),
+    Mutant("src/dualvit/tensor.py",
+           "act = xd @ w1d\n        act += b1d", "act = h.copy()",
+           "the FFN node keeps only its input, not its pre-activation",
+           ("tests/test_tensor.py::TestGraphKeepsOnlyWhatBackwardReads::"
+            "test_an_ffn_node_keeps_only_its_input",)),
 )
 
 
