@@ -238,8 +238,9 @@ class DualViT(Module):
         yield "head", self.head
 
     def features(self, images) -> tuple[FeatureMap, SemanticTokens]:
-        """Run the stage pipeline, returning final pixel and semantic tokens."""
-        x = images if isinstance(images, Tensor) else Tensor(images, dtype=self.z0.data.dtype)
+        """Run the stage pipeline, returning final pixel and semantic tokens. A
+        non-``Tensor`` batch is cast to the model's dtype; one already in it is not copied."""
+        x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, self.z0.data.dtype))
         if x.data.ndim != 4 or x.shape[-1] != 3:
             raise InputError(f"expected images of shape (B, H, W, 3), got {x.shape}")
         b, h, w, _ = x.shape

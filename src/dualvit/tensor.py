@@ -33,7 +33,8 @@ only fresh arrays, its ``g``, or views of ``g`` that do not overlap one
 another (the same array for two parents is allowed: the second gets a copy);
 never an array that the forward pass or another rule still reads. A leaf's
 final buffer goes to ``take``; by default a leaf without a ``grad`` takes it
-as its ``grad``, and a leaf that has one adds it in.
+as its ``grad``, and a leaf that has one adds it in. A rule that returns
+another count of gradients than its node has parents raises ``ValueError``.
 
 Three ops are composite: each records one node for what would be several
 primitive nodes, and keeps less than they would.
@@ -192,16 +193,14 @@ class Tensor:
                 stack.extend((p, False) for p in ps if type(p) is _Node)
         grads = {id(root): np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+            g = grads.pop(id(node))
             if type(node) is not _Node:
                 take(node, g)
                 continue
             # free what only this rule kept, and its g, before the next rule runs
             pgs, node.rule, g = node.rule(g), None, None
             taken: set[int] = set()  # ids of the arrays this node's parents own
-            for p, pg in zip(node.parents, pgs):
+            for p, pg in zip(node.parents, pgs, strict=True):
                 if p is None:
                     continue
                 src = p if type(p) is _Node else p.data  # both have shape and dtype

@@ -231,7 +231,7 @@ def gradcheck_block(kind: str, tolerance: float = 1e-4, samples: int = 200,
 
         def loss_fn() -> Tensor:
             # scaled down for the same finite-difference noise reason as above
-            ce = T.cross_entropy_with_logits(model(Tensor(images, dtype=dt)), labels)
+            ce = T.cross_entropy_with_logits(model(Tensor(images)), labels)
             return T.mul(ce, Tensor(np.asarray(1.0 / 128.0, dt)))
 
         params = list(model.named_parameters())
@@ -254,10 +254,9 @@ def gradcheck_block(kind: str, tolerance: float = 1e-4, samples: int = 200,
 
     def loss_fn() -> Tensor:
         if kind == "transformer":
-            out = block(Tensor(x, dtype=dt))
+            out = block(Tensor(x))
             return _block_loss([out], probes[:1])
-        fm, st = block(FeatureMap(Tensor(x, dtype=dt), 4, 4),
-                       SemanticTokens(Tensor(z, dtype=dt)))
+        fm, st = block(FeatureMap(Tensor(x), 4, 4), SemanticTokens(Tensor(z)))
         return _block_loss([fm.tokens, st.tokens], probes)
 
     return gradcheck(loss_fn, list(block.named_parameters()), tolerance, samples,

@@ -83,6 +83,32 @@ MUTANTS = (
            "the FFN node keeps only its input, not its pre-activation",
            ("tests/test_tensor.py::TestGraphKeepsOnlyWhatBackwardReads::"
             "test_an_ffn_node_keeps_only_its_input",)),
+    Mutant("src/dualvit/tensor.py",
+           "zip(node.parents, pgs, strict=True)", "zip(node.parents, pgs)",
+           "a rule that returns another count of gradients than its node has parents raises",
+           ("tests/test_tensor.py::TestBackward::"
+            "test_a_rule_returning_another_count_than_its_parents_raises",)),
+    Mutant("src/dualvit/tensor.py",
+           "if len(g) == 1 and summed else", "if len(g) == 1 else",
+           "_unbroadcast returns no memory shared with g, and sums -0.0 as numpy does",
+           ("tests/test_tensor.py::TestTapeBuffers::"
+            "test_unbroadcast_is_the_chain_of_sums_in_an_array_of_its_own",
+            "tests/test_tensor.py::TestTapeBuffers::"
+            "test_an_add_gives_its_broadcast_parent_a_buffer_of_its_own")),
+    Mutant("src/dualvit/tensor.py",
+           "if node.rule is None:", "if False:",
+           "a backward that reaches a walked node is refused before any rule runs",
+           ("tests/test_tensor.py::TestBackward::"
+            "test_a_walked_graph_is_refused_before_any_rule_runs",)),
+    Mutant("src/dualvit/model.py",
+           "np.asarray(images, self.z0.data.dtype)", "np.array(images, self.z0.data.dtype)",
+           "a batch already in the model's dtype is read in place, not copied",
+           ("tests/test_model.py::test_a_batch_in_the_models_dtype_is_read_in_place",)),
+    Mutant("src/dualvit/model.py",
+           "np.asarray(images, self.z0.data.dtype)", "np.asarray(images)",
+           "a batch in another float type is cast to the model's dtype",
+           ("tests/test_model.py::"
+            "test_a_float64_batch_gives_the_float32_logits_of_its_float32_cast",)),
 )
 
 

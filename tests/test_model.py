@@ -164,6 +164,31 @@ def test_logits_are_the_head_of_the_mean_of_pixel_and_semantic_tokens(rng):
     np.testing.assert_array_equal(model(images).data, expected.data)
 
 
+def test_a_batch_in_the_models_dtype_is_read_in_place(monkeypatch, rng):
+    """A float32 batch reaches the first reshape as the caller's array, not a
+    copy, and the forward leaves its bytes as they were."""
+    model = build_model(preset_config("tiny"))
+    images = rng.random((2, 32, 32, 3)).astype(np.float32)
+    before = images.tobytes()
+    seen, reshape = [], T.reshape
+
+    def spy(x, shape):
+        seen.append(x.data)
+        return reshape(x, shape)
+
+    monkeypatch.setattr(T, "reshape", spy)
+    model(images)
+    assert np.shares_memory(seen[0], images) and images.tobytes() == before
+
+
+def test_a_float64_batch_gives_the_float32_logits_of_its_float32_cast(rng):
+    model = build_model(preset_config("tiny"))
+    images = rng.random((2, 32, 32, 3))
+    logits = model(images).data
+    assert logits.dtype == np.float32
+    assert logits.tobytes() == model(images.astype(np.float32)).data.tobytes()
+
+
 @pytest.mark.parametrize("batch", [1, 3])
 def test_tile_batch_holds_z0_in_every_row(batch):
     model = build_model(preset_config("tiny"))

@@ -1,5 +1,6 @@
 """AST scans of ``src/dualvit``: every top-level function and class has a user
-in ``src/``, and only the tape reads ``requires_grad``.
+in ``src/``, only the tape reads ``requires_grad``, and no call casts through
+``Tensor``'s ``dtype`` (``Module.astype`` is the one cast).
 
 The first scan keeps out production code that exists only for a test. A name
 counts as referenced when ``src/`` reads it through its module (``T.matmul``
@@ -90,3 +91,23 @@ def test_only_the_tape_reads_requires_grad():
     readers = _requires_grad_readers()
     assert sorted(readers - REQUIRES_GRAD_READERS) == []
     assert readers >= REQUIRES_GRAD_READERS  # the list names no reader that is gone
+
+
+def _tensor_calls():
+    """``(path:line, passes dtype)`` of every call to ``Tensor`` or ``T.Tensor``;
+    ``dtype`` is ``Tensor``'s third parameter, by keyword or by position."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "Tensor"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "Tensor"):
+                casts = len(node.args) >= 3 or any(k.arg == "dtype" for k in node.keywords)
+                calls.append((f"{path.name}:{node.lineno}", casts))
+    return calls
+
+
+def test_no_call_in_src_passes_dtype_to_tensor():
+    calls = _tensor_calls()
+    assert calls  # the scan sees the constructor's callers
+    assert [where for where, casts in calls if casts] == []

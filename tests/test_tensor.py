@@ -316,6 +316,18 @@ class TestBackward:
             loss.backward()
         np.testing.assert_array_equal(w.grad, 2 * np.ones(2))
 
+    @pytest.mark.parametrize("returned", [1, 3])
+    def test_a_rule_returning_another_count_than_its_parents_raises(self, returned):
+        """A two-parent node whose rule returns one gradient, or three, raises
+        ``ValueError``: no parent is left without a gradient, nor a gradient
+        paired with no parent, and ``take`` receives none."""
+        x, y = (Tensor(np.ones(3), requires_grad=True) for _ in range(2))
+        out = T._make(np.ones(3), (x, y), lambda g: (g,) * returned)
+        handed = []
+        with pytest.raises(ValueError):
+            T.sum_all(out).backward(take=lambda p, g: handed.append(p))
+        assert handed == [] and x.grad is None and y.grad is None
+
     @pytest.mark.parametrize("hand_off", ["plain", "take"])
     @pytest.mark.parametrize("second", ["same_loss", "shared_nodes"])
     def test_a_walked_graph_is_refused_before_any_rule_runs(self, rng, monkeypatch,
