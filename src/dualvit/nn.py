@@ -3,9 +3,10 @@
 Attention takes queries and one key/value source, from which both keys and
 values are projected: self-attention when the source is the queries,
 cross-attention otherwise. All four attention projections are square d×d with
-bias, each one ``T.linear`` node. Between them one ``T.attention`` node realizes
-the heads as views of the d-wide projections reshaped to (h, d_h); it keeps only
-the projections and recomputes the probabilities in the backward.
+bias. The whole sublayer is one ``T.attention`` node, which realizes the heads
+as views of the d-wide projections reshaped to (h, d_h); it keeps only the
+queries and the source and recomputes the projections, the probabilities and
+the heads' output in the backward.
 
 Each module draws its weights (``trunc_normal``) from the generator it is
 given, at once. A model gives a list in its place, which puts the draws off
@@ -143,7 +144,13 @@ class LayerNorm(Module):
 
 class MultiHeadAttention(Module):
     """MHA(q, kv) = Concat(head_1..head_h) W_O with scaled dot-product heads;
-    keys and values are both projected from ``kv``."""
+    keys and values are both projected from ``kv``.
+
+    One ``T.attention`` node over the ``q_proj``, ``k_proj``, ``v_proj`` and
+    ``o_proj`` parameters: a recorded graph keeps only ``q`` and ``kv``, and the
+    backward recomputes the three input projections (three more GEMMs), the
+    probabilities and the heads' output (two more).
+    """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
@@ -156,8 +163,10 @@ class MultiHeadAttention(Module):
         self.o_proj = Linear(dim, dim, rng)
 
     def __call__(self, q: Tensor, kv: Tensor) -> Tensor:
-        mixed = T.attention(self.q_proj(q), self.k_proj(kv), self.v_proj(kv), self.heads)
-        return self.o_proj(mixed)
+        return T.attention(q, kv, self.q_proj.weight, self.q_proj.bias,
+                           self.k_proj.weight, self.k_proj.bias,
+                           self.v_proj.weight, self.v_proj.bias,
+                           self.o_proj.weight, self.o_proj.bias, self.heads)
 
     def macs(self, n_q: int, n_kv: int) -> int:
         return mha_macs(n_q, n_kv, self.dim)

@@ -41,15 +41,18 @@ primitive nodes, and keeps less than they would.
 
 - ``linear`` keeps its input and weight, as ``matmul`` would; the bias is
   added in place into the GEMM's output.
-- ``attention`` keeps only ``q``, ``k`` and ``v``, not the (B, heads, n_q,
-  n_kv) probabilities: its backward recomputes them from ``q`` and ``k``.
+- ``attention`` is a whole multi-head sublayer (four projections and the
+  heads) and keeps only its inputs, the queries and the key/value source: its
+  backward recomputes ``q``, ``k`` and ``v`` with three GEMMs, then the (B,
+  heads, n_q, n_kv) probabilities and the heads' output with two more.
 - ``feedforward`` keeps only its input: its backward recomputes the
   pre-activation with one GEMM, then GELU from it.
 
 Their forward GEMMs run through ``matmul`` under ``no_grad``, so whatever
 replaces ``matmul`` to count MACs sees every forward GEMM once. Their
-backwards, the recomputed score and pre-activation GEMMs included, use plain
-numpy ``@`` and never ``matmul``, so such a count includes no backward work.
+backwards, the recomputed projection, score, mix and pre-activation GEMMs
+included, use plain numpy ``@`` and never ``matmul``, so such a count
+includes no backward work.
 Each takes every value and gradient with the same numpy operations, in the
 same order, as a chain of primitive nodes would (``matmul``, ``add``, ``mul``,
 ``reshape``, ``transpose`` and nodes over the ``_softmax`` and ``_gelu``
@@ -279,6 +282,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # primitive differentiable ops
 # ---------------------------------------------------------------------------
 
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of the weight of a token-wise ``x w``: one GEMM over all
+    leading axes."""
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy-style leading batch broadcast."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -293,8 +302,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
 
     def backward(g: np.ndarray):
-        if bd.ndim == 2:  # one GEMM over all leading axes
-            gb = ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if bd.ndim == 2:
+            gb = _weight_grad(ad, g)
         else:
             gb = np.swapaxes(ad, -1, -2) @ g
         return (g @ np.swapaxes(bd, -1, -2), gb)
@@ -404,51 +413,67 @@ def _gelu(x: np.ndarray, out: np.ndarray, act: np.ndarray | None = None) -> np.n
     0.044715 x³))``, in one pass over tiles of ``x``. Without ``act``, GELU goes
     into ``out``, making ``t`` there. With ``act``, ``out`` holds a gradient:
     it is multiplied in place by GELU's derivative, and GELU goes into ``act``,
-    making ``t`` in scratch. Each tile's GELU is written last, after the
-    derivative has read the tile, so ``act`` may be ``x`` itself. ``out`` and
-    ``act`` are C-contiguous; the cube is a square and a multiply, not
-    ``np.power``. Returns ``out``.
+    making ``t`` in one scratch row and the derivative in a second; ``t`` is
+    made a second time once the derivative's ``x`` terms are formed, so two
+    rows suffice. Each tile's GELU is written after the derivative has read the
+    tile of ``x``, so ``act`` may be ``x`` itself. ``out`` and ``act`` are
+    C-contiguous; the cube is a square and a multiply, not ``np.power``.
+    Returns ``out``.
     """
     xf, of = x.reshape(-1), out.reshape(-1)
     af = of if act is None else act.reshape(-1)
     if act is not None:
-        scratch = np.empty((3, min(_TILE, xf.size)), x.dtype)
+        scratch = np.empty((2, min(_TILE, xf.size)), x.dtype)
     for lo in range(0, xf.size, _TILE):
         hi = min(lo + _TILE, xf.size)
         xs = xf[lo:hi]
         t = of[lo:hi] if act is None else scratch[0, :hi - lo]
-        np.square(xs, out=t)
-        t *= xs
-        t *= _GELU_A
-        t += xs
-        t *= _GELU_C
-        np.tanh(t, out=t)
+        _gelu_tanh(xs, t)
         if act is not None:
             # local = 0.5 (1 + t) + 0.5 x (1 - t²) du,  du = C (1 + 3A x²)
-            local, tmp = scratch[1:, :hi - lo]
+            local = scratch[1, :hi - lo]
             np.multiply(xs, 3.0 * _GELU_A, out=local)
             local *= xs
             local += 1.0
             local *= _GELU_C
-            np.square(t, out=tmp)
-            np.subtract(1.0, tmp, out=tmp)
-            tmp *= xs
-            tmp *= 0.5
-            local *= tmp
-            np.add(t, 1.0, out=tmp)
-            tmp *= 0.5
-            local += tmp
-            of[lo:hi] *= local
+            np.square(t, out=t)
+            np.subtract(1.0, t, out=t)
+            t *= xs
+            t *= 0.5
+            local *= t
+            _gelu_tanh(xs, t)
         t += 1.0
         # the derivative has read the tile of x: act may be x from here on
         y = np.multiply(t, xs, out=af[lo:hi])
         y *= 0.5
+        if act is not None:
+            t *= 0.5
+            local += t
+            of[lo:hi] *= local
     return out
+
+
+def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> None:
+    """Write ``tanh(√(2/π)(x + 0.044715 x³))`` into ``t``."""
+    np.square(x, out=t)
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
 
 
 # ---------------------------------------------------------------------------
 # composite differentiable ops
 # ---------------------------------------------------------------------------
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x w + b`` with plain numpy, the bias added in place: a backward's
+    recompute of what ``linear`` made in the forward, byte for byte."""
+    y = x @ w
+    y += b
+    return y
+
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Token-wise ``x w + b`` as one node, the bias added in place into the GEMM's
@@ -464,64 +489,80 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xd, wd = x.data, w.data
 
     def backward(g: np.ndarray):
-        gw = xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])  # one GEMM
         # the bias gradient is full-size: the tape sums it down
-        return (g @ wd.T, gw, g)
+        return (g @ wd.T, _weight_grad(xd, g), g)
 
     return _make(out, (x, w, b), backward)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention of (B, n, d) projections as one node.
+def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+              wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, heads: int) -> Tensor:
+    """Multi-head attention of (B, n_q, ·) queries over a (B, n_kv, ·) key/value
+    source as one node: ``q = xq wq + bq``, ``k = xkv wk + bk``, ``v = xkv wv +
+    bv``, scaled dot-product heads into ``mixed``, then ``mixed wo + bo``.
 
     Heads are views: ``q``, ``k`` and ``v`` reshaped to (B, n, heads, d/heads)
-    and transposed head-major. The two GEMMs (scores and value mix) run
-    through ``matmul`` under ``no_grad``; the scale and softmax run in place
-    in the score buffer, and the heads are merged back into a fresh (B, n_q,
-    d) array. The node keeps only ``q``, ``k`` and ``v``: the backward
-    recomputes the probabilities with the same numpy operations and takes
-    all three gradients with plain numpy, byte for byte as the primitive nodes
-    would.
+    and transposed head-major. The four projections run through ``linear`` and
+    the two head GEMMs (scores and value mix) through ``matmul``, all under
+    ``no_grad``; the scale and softmax run in place in the score buffer, and the
+    heads are merged back into a fresh (B, n_q, d) array. The node keeps only
+    ``xq`` and ``xkv``: the backward recomputes ``q``, ``k``, ``v``, the
+    probabilities and ``mixed`` with the same numpy operations and takes every
+    gradient with plain numpy, byte for byte as a chain of ``linear`` nodes
+    around the primitive nodes of the heads would.
+    ``xkv`` is a parent twice, once for ``k`` and once for ``v``, so the tape
+    sums its gradient as it would over the two projections' nodes.
     """
-    if q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or \
-            q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2] or q.shape[2] % heads:
-        raise DimensionError(f"attention needs (B, n, d) queries and equal-shaped keys "
-                             f"and values with d divisible by {heads} heads, got "
-                             f"{q.shape}, {k.shape}, {v.shape}")
-    batch, n_q, d = q.shape
-    n_kv, head_dim = k.shape[1], d // heads
+    d = wq.shape[-1]
+    if xq.data.ndim != 3 or xkv.data.ndim != 3 or xq.shape[0] != xkv.shape[0] or \
+            not wq.shape == wk.shape == wv.shape or d % heads:
+        raise DimensionError(f"attention needs (B, n, d) queries and keys/values, equal-shaped "
+                             f"q/k/v weights and a width divisible by {heads} heads, got "
+                             f"{xq.shape}, {xkv.shape}, {wq.shape}, {wk.shape}, {wv.shape}")
+    batch, n_q, n_kv, head_dim = xq.shape[0], xq.shape[1], xkv.shape[1], d // heads
     s = 1.0 / math.sqrt(head_dim)
 
     def split(x: np.ndarray) -> np.ndarray:
         return x.reshape(batch, x.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
 
-    with no_grad():
-        p = matmul(Tensor(split(q.data)), Tensor(split(k.data).swapaxes(-1, -2))).data
-        p *= s
-        _softmax(p)
-        mixed = matmul(Tensor(p), Tensor(split(v.data))).data
-    out = mixed.transpose(0, 2, 1, 3).reshape(batch, n_q, d)
-    qd, kd, vd = q.data, k.data, v.data
-
     def merge(x: np.ndarray) -> np.ndarray:  # (B, heads, n, d_h) -> C-contiguous (B, n, d)
         return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(batch, x.shape[2], d)
 
+    with no_grad():
+        q, k, v = linear(xq, wq, bq).data, linear(xkv, wk, bk).data, linear(xkv, wv, bv).data
+        p = matmul(Tensor(split(q)), Tensor(split(k).swapaxes(-1, -2))).data
+        p *= s
+        _softmax(p)
+        mixed = merge(matmul(Tensor(p), Tensor(split(v))).data)
+        out = linear(Tensor(mixed), wo, bo).data
+    xqd, xkvd, wod = xq.data, xkv.data, wo.data
+    wqd, bqd, wkd, bkd, wvd, bvd = (t.data for t in (wq, bq, wk, bk, wv, bv))
+
     def backward(g: np.ndarray):
-        qh, kh, vh = split(qd), split(kd), split(vd)
+        qh = split(_affine(xqd, wqd, bqd))
+        kh = split(_affine(xkvd, wkd, bkd))
+        vh = split(_affine(xkvd, wvd, bvd))
         p = qh @ kh.swapaxes(-1, -2)
         p *= s
         _softmax(p)
-        gm = np.ascontiguousarray(split(g))
+        gwo = _weight_grad(merge(p @ vh), g)
+        gm = np.ascontiguousarray(split(g @ wod.T))
         gv = merge(p.swapaxes(-1, -2) @ gm)
         gs = _softmax_grad(gm @ vh.swapaxes(-1, -2), p)
-        del p
+        del p, gm, vh
         gs *= s
         gq = merge(gs @ kh)
         # the score GEMM's second operand was (B, heads, d_h, n_kv)
         gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2))
-        return (gq, gk.reshape(batch, n_kv, d), gv)
+        gk = gk.reshape(batch, n_kv, d)
+        del gs, qh, kh
+        # the bias gradients are full-size: the tape sums them down
+        return (gq @ wqd.T, _weight_grad(xqd, gq), gq,
+                gk @ wkd.T, _weight_grad(xkvd, gk), gk,
+                gv @ wvd.T, _weight_grad(xkvd, gv), gv,
+                gwo, g)
 
-    return _make(out, (q, k, v), backward)
+    return _make(out, (xq, wq, bq, xkv, wk, bk, xkv, wv, bv, wo, bo), backward)
 
 
 def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -541,14 +582,13 @@ def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Te
     xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
 
     def backward(g: np.ndarray):
-        act = xd @ w1d
-        act += b1d
+        act = _affine(xd, w1d, b1d)
         # one pass turns g @ w2ᵀ into gh in place and writes GELU over act
         gh = g @ w2d.T
         _gelu(act, gh, act)
-        gw2 = act.reshape(-1, act.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        gw2 = _weight_grad(act, g)
         del act
-        gw1 = xd.reshape(-1, xd.shape[-1]).T @ gh.reshape(-1, gh.shape[-1])
+        gw1 = _weight_grad(xd, gh)
         # the bias gradients are full-size: the tape sums them down
         return (gh @ w1d.T, gw1, gh, gw2, g)
 

@@ -67,22 +67,64 @@ MUTANTS = (
             "tests/test_training.py::"
             "test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte")),
     Mutant("src/dualvit/tensor.py",
-           "act += b1d", "pass",
+           "act = _affine(xd, w1d, b1d)", "act = xd @ w1d",
            "the FFN backward recomputes the pre-activation with its bias",
            ("tests/test_tensor.py::TestFeedForward::"
             "test_float32_output_and_gradients_equal_the_composition_byte_for_byte",)),
     Mutant("src/dualvit/tensor.py",
-           "np.tanh(t, out=t)\n        if act is not None:\n",
-           "np.tanh(t, out=t)\n        if act is not None:\n"
+           "_gelu_tanh(xs, t)\n        if act is not None:\n",
+           "_gelu_tanh(xs, t)\n        if act is not None:\n"
            "            y = np.add(t, 1.0, out=af[lo:hi])\n            y *= xs\n            y *= 0.5\n",
            "_gelu writes the activation into act only after the derivative has read x",
            ("tests/test_tensor.py::TestGelu::"
             "test_gelu_written_over_its_input_keeps_the_bytes_of_a_fresh_activation",)),
     Mutant("src/dualvit/tensor.py",
-           "act = xd @ w1d\n        act += b1d", "act = h.copy()",
+           "act = _affine(xd, w1d, b1d)", "act = h.copy()",
            "the FFN node keeps only its input, not its pre-activation",
            ("tests/test_tensor.py::TestGraphKeepsOnlyWhatBackwardReads::"
             "test_an_ffn_node_keeps_only_its_input",)),
+    Mutant("src/dualvit/tensor.py",
+           "qh = split(_affine(xqd, wqd, bqd))", "qh = split(xqd @ wqd)",
+           "the attention backward recomputes the queries with their bias",
+           ("tests/test_tensor.py::TestAttention::"
+            "test_output_and_gradients_equal_the_composition_byte_for_byte",)),
+    Mutant("src/dualvit/tensor.py",
+           "                gk @ wkd.T, _weight_grad(xkvd, gk), gk,\n"
+           "                gv @ wvd.T, _weight_grad(xkvd, gv), gv,\n"
+           "                gwo, g)\n\n"
+           "    return _make(out, (xq, wq, bq, xkv, wk, bk, xkv, wv, bv, wo, bo), backward)",
+           "                gk @ wkd.T + gv @ wvd.T, _weight_grad(xkvd, gk), gk,\n"
+           "                _weight_grad(xkvd, gv), gv,\n"
+           "                gwo, g)\n\n"
+           "    return _make(out, (xq, wq, bq, xkv, wk, bk, wv, bv, wo, bo), backward)",
+           "the key/value source is a parent twice, so a self-attention's input "
+           "gradient sums the query, key and value terms in that order",
+           ("tests/test_tensor.py::TestAttention::"
+            "test_self_attention_equals_the_composition_byte_for_byte",)),
+    Mutant("src/dualvit/tensor.py",
+           "qh = split(_affine(xqd, wqd, bqd))", "qh = split(q.copy())",
+           "the attention node keeps only its inputs, not the projected queries",
+           ("tests/test_tensor.py::TestAttention::test_an_attention_node_keeps_only_its_inputs",)),
+    Mutant("src/dualvit/tensor.py",
+           "    if _grad_enabled:\n", "    if True:\n",
+           "an op result made under no_grad records no graph",
+           ("tests/test_tensor.py::TestNoGrad::test_records_no_graph_and_nests",
+            "tests/test_model.py::test_no_grad_forward_gives_the_same_logits_without_a_graph")),
+    Mutant("src/dualvit/tensor.py",
+           "_grad_enabled = saved", "pass",
+           "no_grad restores recording on exit, also after an exception",
+           ("tests/test_tensor.py::TestNoGrad::test_records_no_graph_and_nests",
+            "tests/test_tensor.py::TestNoGrad::test_recording_resumes_after_an_exception")),
+    Mutant("src/dualvit/training.py",
+           "    with T.no_grad():\n        for start in range(0, n, batch_size):",
+           "    if True:\n        for start in range(0, n, batch_size):",
+           "evaluate records no graph",
+           ("tests/test_training.py::test_evaluate_builds_no_graph",)),
+    Mutant("src/dualvit/data.py",
+           "zlib.crc32(payload, zlib.crc32(head))", "zlib.crc32(payload, zlib.crc32(head[12:]))",
+           "the DVCP CRC covers the header as well as the manifest and payload",
+           ("tests/test_data.py::test_checkpoint_bytes_follow_the_documented_layout",
+            "tests/test_data.py::test_checkpoint_roundtrip_bit_exact")),
     Mutant("src/dualvit/tensor.py",
            "zip(node.parents, pgs, strict=True)", "zip(node.parents, pgs)",
            "a rule that returns another count of gradients than its node has parents raises",

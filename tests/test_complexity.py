@@ -144,9 +144,9 @@ def test_an_ffn_runs_its_forward_gemms_through_matmul_and_its_backward_outside_i
 @pytest.mark.parametrize("layer", ["linear", "attention"])
 def test_linear_and_attention_run_their_forward_gemms_through_matmul_and_backward_outside_it(
         monkeypatch, layer):
-    """As for the FFN above: a Linear makes 1 ``matmul`` call and an attention 2
-    (scores and value mix), and neither backward makes any, the attention's
-    recomputed scores included."""
+    """As for the FFN above: a Linear makes 1 ``matmul`` call and an attention 6
+    (four projections, scores and value mix), and neither backward makes any,
+    the attention's recomputed projections, scores and mix included."""
     rng = np.random.default_rng(0)
     batch, n_q, n_kv, dim, heads = 2, 5, 3, 8, 2
 
@@ -159,10 +159,11 @@ def test_linear_and_attention_run_their_forward_gemms_through_matmul_and_backwar
         executed = _count_matmul_macs(monkeypatch)
         out, calls, macs, inputs = lin(x), 1, batch * lin.macs(n_q), [x, lin.weight, lin.bias]
     else:
-        q, k, v = leaf(batch, n_q, dim), leaf(batch, n_kv, dim), leaf(batch, n_kv, dim)
+        inputs = [leaf(batch, n_q, dim), leaf(batch, n_kv, dim)] + [
+            leaf(*shape) for _ in range(4) for shape in ((dim, dim), (dim,))]
         executed = _count_matmul_macs(monkeypatch)
-        out, calls, inputs = T.attention(q, k, v, heads), 2, [q, k, v]
-        macs = batch * complexity.mha_attention_macs(n_q, n_kv, dim)
+        out, calls = T.attention(*inputs, heads), 6
+        macs = batch * complexity.mha_macs(n_q, n_kv, dim)
     loss = T.sum_all(out)
     assert len(executed) == calls
     assert sum(executed) == macs

@@ -37,16 +37,33 @@ def dense_attention_oracle(q, k, v, mha):
 
 
 def attention_weights(mha, q, k):
-    """Per-head probabilities (B, heads, n_q, n_kv) of ``T.attention`` on ``mha``'s
-    projections, read one key at a time: values that are one on that key's token
-    and zero elsewhere mix to that key's weight in every channel of a head."""
+    """Per-head probabilities (B, heads, n_q, n_kv) of ``T.attention`` with
+    ``mha``'s query and key projections, read one key at a time. Both inputs
+    gain one column per key token, which the query and key weights ignore (zero
+    rows); the keys' row of token t has a one in column t. Values that read only
+    column j are one on key token j and zero elsewhere, and with an identity
+    output projection they mix to that key's weight in every channel of a head."""
+    n_kv, dim, dt = k.shape[1], mha.dim, k.data.dtype
+
+    def widened(x: Tensor, onehot: bool) -> Tensor:
+        cols = np.zeros((*x.shape[:2], n_kv), dt)
+        if onehot:
+            cols[:, np.arange(n_kv), np.arange(n_kv)] = 1.0
+        return Tensor(np.concatenate([x.data, cols], axis=-1))
+
+    def padded(w: Tensor) -> Tensor:
+        return Tensor(np.concatenate([w.data, np.zeros((n_kv, dim), dt)]))
+
+    zeros, eye = Tensor(np.zeros(dim, dt)), Tensor(np.eye(dim, dtype=dt))
     with T.no_grad():
-        qp, kp = mha.q_proj(q), mha.k_proj(k)
         columns = []
-        for j in range(kp.shape[1]):
-            onehot = np.zeros(kp.shape, kp.data.dtype)
-            onehot[:, j] = 1.0
-            out = T.attention(qp, kp, Tensor(onehot), mha.heads).data
+        for j in range(n_kv):
+            wv = np.zeros((dim + n_kv, dim), dt)
+            wv[dim + j] = 1.0
+            out = T.attention(widened(q, False), widened(k, True),
+                              padded(mha.q_proj.weight), mha.q_proj.bias,
+                              padded(mha.k_proj.weight), mha.k_proj.bias,
+                              Tensor(wv), zeros, eye, zeros, mha.heads).data
             columns.append(out.reshape(*out.shape[:2], mha.heads, -1)[..., 0])
     return np.stack(columns, axis=-1).transpose(0, 2, 1, 3)
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualvit import tensor as T
-from dualvit.blocks import DualBlock, FeatureMap, SemanticTokens
+from dualvit.blocks import SEMANTIC_STEPS, DualBlock, FeatureMap, SemanticTokens
 from dualvit.errors import ContractError, DimensionError
 from dualvit.model import build_model, preset_config
 from dualvit.nn import FeedForward
@@ -920,7 +921,8 @@ def _softmax_node(a):
 
 
 def _attention_composed(q, k, v, heads=2):
-    """The primitive nodes that ``T.attention`` stands for, in the order it runs them."""
+    """The primitive nodes that ``T.attention`` stands for between its
+    projections, in the order it runs them."""
     b, n_q, d = q.shape
     head_dim = d // heads
 
@@ -932,42 +934,68 @@ def _attention_composed(q, k, v, heads=2):
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (b, n_q, d))
 
 
-def _attention_leaves(rng, dtype, n_q=5, n_kv=7):
-    shapes = [(3, n_q, 8), (3, n_kv, 8), (3, n_kv, 8)]
+def _mha_composed(xq, xkv, wq, bq, wk, bk, wv, bv, wo, bo, heads=2):
+    """The chain ``T.attention`` stands for: three ``T.linear`` projections, the
+    heads and the output ``T.linear``."""
+    q, k, v = T.linear(xq, wq, bq), T.linear(xkv, wk, bk), T.linear(xkv, wv, bv)
+    return T.linear(_attention_composed(q, k, v, heads), wo, bo)
+
+
+def _attention_leaves(rng, dtype, n_q=5, n_kv=7, d=8):
+    """Queries, a key/value source and the four projections' weights and biases."""
+    shapes = [(3, n_q, d), (3, n_kv, d)] + [(d, d), (d,)] * 4
     return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+def _self_attention(op):
+    """``op`` over leaves without the key/value source: the queries are reused."""
+    return lambda x, *params: op(x, x, *params)
 
 
 class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("frozen", [(), (0,), (1, 2), (0, 1), (2,)])
+    @pytest.mark.parametrize("frozen", [(), (0,), (1,), (0, 1), (2, 3), (4, 5, 6, 7), (8, 9)])
     def test_output_and_gradients_equal_the_composition_byte_for_byte(self, rng, dtype, frozen):
         leaves = _attention_leaves(rng, dtype)
         _assert_same_bytes(_fused_and_composed_results(
-            rng, lambda q, k, v: T.attention(q, k, v, 2), _attention_composed, leaves, frozen))
+            rng, lambda *a: T.attention(*a, 2), _mha_composed, leaves, frozen))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("frozen", [(), (0,), (1, 2, 3, 4)])
+    def test_self_attention_equals_the_composition_byte_for_byte(self, rng, dtype, frozen):
+        """The input gradient sums the query, key and value projections' in that order."""
+        leaves = _attention_leaves(rng, dtype, n_kv=5)
+        del leaves[1]
+        _assert_same_bytes(_fused_and_composed_results(
+            rng, _self_attention(lambda *a: T.attention(*a, 2)), _self_attention(_mha_composed),
+            leaves, frozen))
 
     def test_one_query_token_equals_the_composition_byte_for_byte(self, rng):
         """With n_q = 1 the merged heads are a view of the value mix's output."""
         leaves = _attention_leaves(rng, np.float32, n_q=1)
         _assert_same_bytes(_fused_and_composed_results(
-            rng, lambda q, k, v: T.attention(q, k, v, 2), _attention_composed, leaves, ()))
+            rng, lambda *a: T.attention(*a, 2), _mha_composed, leaves, ()))
 
-    def test_an_attention_node_keeps_only_q_k_and_v(self, rng):
-        q, k, v = _attention_leaves(rng, np.float32)
-        out = T.attention(q, k, v, 2)
-        kept = _closure_arrays(out._node.rule)
-        assert len(kept) == 3
-        assert all(any(a is t.data for a in kept) for t in (q, k, v))
+    @pytest.mark.parametrize("self_attention", [False, True], ids=["cross", "self"])
+    def test_an_attention_node_keeps_only_its_inputs(self, rng, self_attention):
+        leaves = _attention_leaves(rng, np.float32)
+        if self_attention:
+            leaves[1] = leaves[0]
+        out = T.attention(*leaves, 2)
+        params = [t.data for t in leaves[2:]]
+        kept = [a for a in _closure_arrays(out._node.rule) if not any(a is p for p in params)]
+        assert {id(a) for a in kept} == {id(leaves[0].data), id(leaves[1].data)}
         assert not any(a.shape == (3, 2, 5, 7) for a in kept)  # no probabilities
 
     @pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
     def test_rule_writes_into_nothing_it_reads(self, rng, g_dtype):
-        q, k, v = _attention_leaves(rng, np.float32)
-        out = T.attention(q, k, v, 2)
+        leaves = _attention_leaves(rng, np.float32)
+        out = T.attention(*leaves, 2)
         g = rng.standard_normal(out.shape).astype(g_dtype)
-        saved = [t.data.tobytes() for t in (q, k, v)] + [g.tobytes(), out.data.tobytes()]
+        saved = [t.data.tobytes() for t in leaves] + [g.tobytes(), out.data.tobytes()]
         first = out._node.rule(g)
         second = out._node.rule(g)
-        assert [t.data.tobytes() for t in (q, k, v)] + [g.tobytes(), out.data.tobytes()] == saved
+        assert [t.data.tobytes() for t in leaves] + [g.tobytes(), out.data.tobytes()] == saved
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
 
@@ -978,14 +1006,18 @@ class TestAttention:
             lambda: T.sum_all(T.mul(T.attention(*leaves, 2), probe)), leaves)
 
     @pytest.mark.parametrize("shapes", [
-        [(3, 5, 8), (3, 7, 8), (3, 6, 8)],   # keys and values disagree
-        [(3, 5, 6), (3, 7, 8), (3, 7, 8)],   # query width
-        [(3, 5, 6), (3, 7, 6), (3, 7, 6)],   # width not divisible by the heads
-        [(15, 8), (21, 8), (21, 8)],          # not (B, n, d)
+        [(3, 5, 8), (3, 7, 8), (8, 8), (8, 6)],   # keys and values disagree
+        [(3, 5, 6), (3, 7, 8), (8, 8), (8, 8)],   # query width
+        [(3, 5, 6), (3, 7, 6), (6, 6), (6, 6)],   # width not divisible by the heads
+        [(15, 8), (21, 8), (8, 8), (8, 8)],        # not (B, n, d)
+        [(2, 5, 8), (3, 7, 8), (8, 8), (8, 8)],   # batches disagree
     ])
     def test_mismatched_shapes_are_a_dimension_error(self, shapes):
+        xq, xkv, w, wv = (Tensor(np.zeros(s, np.float32)) for s in shapes)
+        b = Tensor(np.zeros(w.shape[1], np.float32))
+        bv = Tensor(np.zeros(wv.shape[1], np.float32))
         with pytest.raises(DimensionError):
-            T.attention(*[Tensor(np.zeros(s, np.float32)) for s in shapes], 4)
+            T.attention(xq, xkv, w, b, w, b, wv, bv, w, b, 4)
 
 
 def _graph_nodes(loss: Tensor) -> list:
@@ -997,6 +1029,57 @@ def _graph_nodes(loss: Tensor) -> list:
             seen[id(node)] = node
             stack.extend(node.parents)
     return list(seen.values())
+
+
+def _kept_arrays(loss: Tensor, model) -> list[np.ndarray]:
+    """The non-parameter arrays the rules of ``loss``'s graph keep, each once;
+    no two of them share memory."""
+    params = {id(p.data) for p in model.parameters()}
+    kept = {id(a): a for node in _graph_nodes(loss) for a in _closure_arrays(node.rule)
+            if id(a) not in params}
+    arrays = sorted(kept.values(), key=lambda a: a.__array_interface__["data"][0])
+    for a, b in zip(arrays, arrays[1:]):  # in address order, any overlap shows in a neighbour
+        assert not np.may_share_memory(a, b)
+    return arrays
+
+
+def _analytic_graph_bytes(model, batch: int) -> int:
+    """The non-parameter bytes a recorded graph of ``model`` on ``batch`` images
+    keeps, from its config alone: each layer norm's ``normed`` and ``inv_std``;
+    the input of every linear, FFN and attention node (a self-attention's once;
+    each layer norm's output is one such input); each concat's int64 cut
+    offsets; the cross-entropy's shifted logits and int64 labels."""
+    cfg, f = model.config, model.z0.data.dtype.itemsize
+    m = cfg.m
+
+    def tokens(n, d):  # one (batch, n, d) array
+        return batch * n * d * f
+
+    def norm(n, d):  # a layer norm's normed and inv_std
+        return tokens(n, d) + tokens(n, 1)
+
+    def norm_into_node(n, d):  # a layer norm whose output one node keeps
+        return norm(n, d) + tokens(n, d)
+
+    total, in_ch = 0, 3
+    for i, (spec, n) in enumerate(zip(cfg.stages, cfg.token_counts())):
+        d = spec.channels
+        total += tokens(n, spec.patch_size ** 2 * in_ch) + norm(n, d)  # patch embed
+        if i:
+            total += tokens(m, in_ch) + norm(m, d)  # semantic transition
+        for _ in range(spec.depth):
+            if spec.kind == "dual":
+                # semantic pathway: the normed pixel tokens and each step's normed
+                # input; pixel pathway: queries, keys/values and the FFN's input
+                total += norm_into_node(n, d)
+                total += len(SEMANTIC_STEPS[model.variant]) * norm_into_node(m, d)
+                total += 2 * norm_into_node(n, d) + norm_into_node(m, d)
+            else:  # the joint concat and self-attention, then the two FFNs
+                total += 8 + norm_into_node(n + m, d)
+                total += norm_into_node(n, d) + norm_into_node(m, d)
+        in_ch = d
+    # the pooling concat, the head's layer norm and linear, the cross-entropy
+    return total + 8 + norm_into_node(1, in_ch) + batch * (cfg.num_classes * f + 8)
 
 
 class TestGraphKeepsOnlyWhatBackwardReads:
@@ -1036,7 +1119,10 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         images = rng.standard_normal((4, cfg.resolution, cfg.resolution, 3)).astype(np.float32)
         labels = rng.integers(0, cfg.num_classes, size=4)
         nodes = _graph_nodes(T.cross_entropy_with_logits(model(images), labels))
-        assert len(nodes) > 100
+        kinds = Counter(node.rule.__qualname__.split(".")[0] for node in nodes)
+        assert kinds == {"attention": 8, "feedforward": 8, "layernorm": 28, "linear": 8,
+                         "add": 18, "reshape": 6, "transpose": 3, "concat": 3, "split": 4,
+                         "mean": 1, "cross_entropy_with_logits": 1}
         for node in nodes:
             cells = node.rule.__closure__ or ()
             assert not any(isinstance(c.cell_contents, Tensor) for c in cells), \
@@ -1051,33 +1137,58 @@ class TestGraphKeepsOnlyWhatBackwardReads:
                 if not any(a is p for p in params)]
         assert len(kept) == 1 and kept[0] is x.data
 
-    def test_an_s224_graph_keeps_at_most_61_mib_and_no_ffn_hidden_array(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_tiny_batch_3_graph_keeps_the_analytic_bytes(self, dtype):
+        model = build_model(preset_config("tiny", seed=0)).astype(dtype)
+        images = np.random.default_rng(1).random((3, 32, 32, 3)).astype(dtype)
+        loss = T.cross_entropy_with_logits(model(images), np.array([1, 2, 3]))
+        kept = _kept_arrays(loss, model)
+        assert sum(a.nbytes for a in kept) == _analytic_graph_bytes(model, 3)
+
+    def test_an_s224_graph_keeps_the_analytic_bytes_at_most_36_mib_and_only_node_inputs(
+            self, monkeypatch):
         """Non-parameter arrays the rules of one S@224 batch-1 graph keep, each
         counted once. Measured here: 98.4 MiB while each FFN node kept its
-        pre-activation; 60.1 MiB with each keeping only its input."""
-        cfg = preset_config("S", seed=0)
-        model = build_model(cfg)
+        pre-activation; 60.1 MiB with each keeping only its input; 35.8 MiB with
+        each attention sublayer one node that keeps only its inputs."""
+        inputs, attention = {}, T.attention
+
+        def recording(xq, xkv, *rest):
+            out = attention(xq, xkv, *rest)
+            inputs[id(out._node)] = {id(xq.data), id(xkv.data)}
+            return out
+
+        monkeypatch.setattr(T, "attention", recording)
+        model = build_model(preset_config("S", seed=0))
         images = np.random.default_rng(1).random((1, 224, 224, 3), dtype=np.float32)
         loss = T.cross_entropy_with_logits(model(images), np.array([3]))
         params = {id(p.data) for p in model.parameters()}
         hidden = {id(p.data): p.shape[1] for name, p in model.named_parameters()
                   if name.endswith(".expand.weight")}
-        kept, ffn_nodes = {}, 0
+        ffn_nodes = attention_nodes = 0
         for node in _graph_nodes(loss):
             arrays = _closure_arrays(node.rule)
-            if node.rule.__qualname__.startswith("feedforward."):
+            kind = node.rule.__qualname__.split(".")[0]
+            if kind == "feedforward":
                 ffn_nodes += 1
                 (width,) = [hidden[id(a)] for a in arrays if id(a) in hidden]
                 assert all(a.shape[-1] != width for a in arrays if id(a) not in params)
-            kept.update((id(a), a) for a in arrays if id(a) not in params)
+            elif kind == "attention":
+                attention_nodes += 1
+                assert {id(a) for a in arrays if id(a) not in params} == inputs[id(node)]
         assert ffn_nodes == len(hidden) > 0
-        total = sum(a.nbytes for a in kept.values())
-        assert total <= 61 * 2**20, total / 2**20
+        assert attention_nodes == len(inputs) > 0
+        total = sum(a.nbytes for a in _kept_arrays(loss, model))
+        assert total == _analytic_graph_bytes(model, 1)
+        assert total <= 36 * 2**20, total / 2**20
 
     def test_a_tiny_batch_16_backward_peaks_under_1_2_mib_over_its_graph(self):
         """Measured here with tracemalloc: 2.00 MiB over the graph while every
         rule lived until the walk ended; 0.76 MiB with each rule, and what only
-        it kept, freed as soon as it has run."""
+        it kept, freed as soon as it has run; 1.01 MiB once each FFN node kept
+        only its input. With each attention sublayer one node that keeps only
+        its inputs the graph holds less to free by the peak: 1.35 MiB while
+        GELU's derivative pass took three scratch rows, 1.10 MiB with two."""
         cfg = preset_config("tiny", seed=0)
         model = build_model(cfg)
         images = np.random.default_rng(1).random(
@@ -1093,11 +1204,13 @@ class TestGraphKeepsOnlyWhatBackwardReads:
             tracemalloc.stop()
         assert peak - graph <= 1.2 * 2**20, (peak - graph) / 2**20
 
-    def test_tiny_batch_16_graph_forward_stays_under_2_1_mib(self):
+    def test_tiny_batch_16_graph_forward_stays_under_1_5_mib(self):
         """Measured here with tracemalloc: 2.72 MiB while each attention call
         kept its probabilities; 2.54 MiB with one attention node that keeps only
         q, k and v and recomputes them in the backward; 2.03 MiB with one FFN
-        node that keeps only its input and recomputes its pre-activation."""
+        node that keeps only its input and recomputes its pre-activation;
+        1.37 MiB with each attention sublayer one node that keeps only its
+        inputs."""
         cfg = preset_config("tiny", seed=0)
         model = build_model(cfg)
         images = np.random.default_rng(1).random(
@@ -1109,7 +1222,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         finally:
             tracemalloc.stop()
         assert logits.requires_grad
-        assert live <= 2.1 * 2**20, live / 2**20
+        assert live <= 1.5 * 2**20, live / 2**20
 
 
 class TestNoGrad:
@@ -1197,6 +1310,8 @@ def test_op_gradients_match_finite_differences(op_name, rng):
     labels = rng.integers(0, 4, size=8)
     ffn = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
            for name, shape in (("w1", (4, 6)), ("b1", (6,)), ("w2", (6, 4)), ("b2", (4,)))}
+    mha = {f"{name}{proj}": Tensor(rng.standard_normal(shape), requires_grad=True)
+           for proj in "qkvo" for name, shape in (("w", (4, 4)), ("b", (4,)))}
 
     def build():
         if op_name == "matmul":
@@ -1236,7 +1351,7 @@ def test_op_gradients_match_finite_differences(op_name, rng):
             return T.sum_all(T.mul(T.linear(x, ffn["w1"], ffn["b1"]),
                                    Tensor(np.concatenate([probe, probe[..., :2]], axis=-1))))
         if op_name == "attention":
-            return T.sum_all(T.mul(T.attention(x, y, _times(y, -0.5), 2), Tensor(probe)))
+            return T.sum_all(T.mul(T.attention(x, y, *mha.values(), 2), Tensor(probe)))
         raise AssertionError(op_name)
 
     loss = build()
@@ -1246,6 +1361,8 @@ def test_op_gradients_match_finite_differences(op_name, rng):
         tensors.update(gamma=gamma, beta=beta)
     if op_name in ("feedforward", "linear"):
         tensors.update(ffn)
+    if op_name == "attention":
+        tensors.update(mha)
     for name, t in tensors.items():
         if t.grad is None:
             continue
