@@ -58,15 +58,13 @@ same order, as a chain of primitive nodes would (``matmul``, ``add``, ``mul``,
 ``reshape``, ``transpose`` and nodes over the ``_softmax`` and ``_gelu``
 kernels), so results are byte-identical to that chain's.
 
-GELU and layer norm run each chain of in-place passes over tiles of ``_TILE``
-elements (whole rows for layer norm) that stay in cache, writing into the
-arrays they return; ``feedforward``'s backward recomputes GELU, writes the
-activation over the recomputed pre-activation and turns ``g @ w2ᵀ`` into the
-pre-activation gradient in one such pass. GEMMs never run in tiles:
-OpenBLAS's summation order can depend on the row count. Each element meets
-the numpy operations of a whole-array pass in their order, and each reduction
-the same values in the same order, so the bytes match (for layer norm, on
-inputs whose last axis is innermost in memory).
+GELU runs its chain of in-place passes over tiles of ``_TILE`` elements that
+stay in cache, writing into the array it returns; ``feedforward``'s backward
+recomputes GELU, writes the activation over the recomputed pre-activation and
+turns ``g @ w2ᵀ`` into the pre-activation gradient in one such pass. GEMMs
+never run in tiles: OpenBLAS's summation order can depend on the row count.
+Each element meets the numpy operations of a whole-array pass in their order,
+so the bytes match. Layer norm runs in whole-array passes.
 
 Inside ``with no_grad():`` ops record no graph and return tensors that do
 not require grad, so a forward for evaluation frees each activation as soon
@@ -90,8 +88,9 @@ from .errors import ContractError, DimensionError
 
 DEFAULT_DTYPE = np.float32
 
-# Elements per tile of a chain of in-place passes: each operand's tile stays in
-# cache across the chain (for AdamW at S, 64K beat 16K, 256K and whole arrays).
+# Elements per tile of a chain of in-place passes (GELU and AdamW): each
+# operand's tile stays in cache across the chain (for AdamW at S, 64K beat 16K,
+# 256K and whole arrays).
 _TILE = 1 << 16
 
 # DUALVIT_DEBUG turns on the NaN/Inf sentinel that runs after every forward
@@ -356,42 +355,25 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"gamma {gamma.shape}, beta {beta.shape}"
         )
     x, gd, bd, shape = a.data.reshape(-1, d), gamma.data, beta.data, a.shape
-    n = max(1, min(len(x), _TILE // max(1, d)))  # rows per tile
-    normed, inv_std = np.empty(x.shape, x.dtype), np.empty((len(x), 1), x.dtype)
-    out = np.empty(x.shape, np.result_type(gd, x, bd))
-    sq = np.empty((n, d), x.dtype)
-    for lo in range(0, len(x), n):
-        r = slice(lo, lo + n)
-        xr = x[r]
-        centered = np.subtract(xr, _row_mean(xr), out=normed[r])
-        var = _row_mean(np.square(centered, out=sq[:len(xr)]))
-        var += 1e-6
-        np.sqrt(var, out=var)
-        centered *= np.divide(1.0, var, out=inv_std[r])
-        y = np.multiply(gd, centered, out=out[r])
-        y += bd
+    normed = x - _row_mean(x)
+    inv_std = _row_mean(np.square(normed))
+    inv_std += 1e-6
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    normed *= inv_std
+    out = gd * normed
+    out += bd
 
     def backward(g: np.ndarray):
         g = g.reshape(-1, d)
-        dt = np.result_type(g, gd, normed)
-        ga = np.empty(normed.shape, dt)
-        # row 0 holds the gamma gradient's running sum, which each tile's rows
-        # continue one after another from 0, as a sum over axis 0 adds them
-        buf = np.empty((n + 1, d), dt)
-        g_gamma = np.zeros(d, dt)
-        for lo in range(0, len(g), n):
-            r = slice(lo, lo + n)
-            gr, nr = g[r], normed[r]
-            prod = buf[1:1 + len(nr)]
-            gy = np.multiply(gr, gd, out=ga[r])
-            m1 = _row_mean(gy)
-            m2 = _row_mean(np.multiply(gy, nr, out=prod))
-            gy -= m1
-            gy -= np.multiply(nr, m2, out=prod)
-            gy *= inv_std[r]
-            np.multiply(gr, nr, out=prod)
-            buf[0] = g_gamma
-            np.add.reduce(buf[:1 + len(nr)], axis=0, out=g_gamma)
+        ga = g * gd
+        m1 = _row_mean(ga)
+        prod = ga * normed
+        m2 = _row_mean(prod)
+        ga -= m1
+        ga -= np.multiply(normed, m2, out=prod)
+        ga *= inv_std
+        g_gamma = np.multiply(g, normed, out=prod).sum(axis=0)
         return (ga.reshape(shape), g_gamma, g.sum(axis=0))
 
     return _make(out.reshape(shape), (a, gamma, beta), backward)

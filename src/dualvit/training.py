@@ -306,7 +306,9 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
 
     A non-finite loss ends the run: the step is recorded, the weights that
     gave the last finite loss are restored and ``aborted`` is set. The
-    ``DUALVIT_DEBUG`` sentinel stopping a step's forward counts as loss ``nan``.
+    ``DUALVIT_DEBUG`` sentinel stopping a step's forward counts as loss ``nan``;
+    stopping the closing evaluation's forward, it restores those weights too,
+    sets ``aborted`` and reports ``final_accuracy`` as ``nan``.
 
     Each backward hands every gradient to ``AdamW.take``, which folds it into
     the moments as the tape finishes it, so a step never holds the whole
@@ -347,6 +349,10 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
         loss.backward(take=opt.take)
         del loss
         opt.step(lr=step_lr)
-    acc = evaluate(model, dataset, batch_size)
+    try:
+        acc = evaluate(model, dataset, batch_size)
+    except FloatingPointError:  # the sentinel stopped the closing forward
+        np.copyto(model.arena, last_good)
+        acc, aborted = math.nan, True
     return TrainReport(steps=history, final_accuracy=acc,
                        wall_clock=time.perf_counter() - t0, aborted=aborted)

@@ -151,6 +151,56 @@ MUTANTS = (
            "a batch in another float type is cast to the model's dtype",
            ("tests/test_model.py::"
             "test_a_float64_batch_gives_the_float32_logits_of_its_float32_cast",)),
+    Mutant("src/dualvit/tensor.py",
+           "ga -= m1", "pass",
+           "the layer-norm input gradient subtracts the row mean of g * gamma",
+           ("tests/test_tensor.py::test_op_gradients_match_finite_differences[layernorm]",
+            "tests/test_tensor.py::TestLayerNorm::"
+            "test_output_and_gradients_equal_the_untiled_formulas_byte_for_byte")),
+    Mutant("src/dualvit/tensor.py",
+           "np.multiply(g, normed, out=prod)", "np.multiply(ga, normed, out=prod)",
+           "the layer-norm gamma gradient sums g times the standardized rows",
+           ("tests/test_tensor.py::test_op_gradients_match_finite_differences[layernorm]",)),
+    Mutant("src/dualvit/tensor.py",
+           "ga -= np.multiply(normed, m2, out=prod)", "ga -= normed * m2",
+           "the layer-norm backward reuses one product buffer for its three products",
+           ("tests/test_tensor.py::TestLayerNorm::"
+            "test_the_layernorm_backward_peaks_near_two_input_sized_arrays",)),
+    Mutant("src/dualvit/training.py",
+           "np.copyto(model.arena, last_good)\n            aborted = True",
+           "pass\n            aborted = True",
+           "a non-finite loss restores the weights that gave the last finite loss",
+           ("tests/test_training.py::test_abort_restores_the_weights_of_the_last_finite_loss",)),
+    Mutant("src/dualvit/training.py",
+           "except FloatingPointError:  # the sentinel stopped the closing forward\n"
+           "        np.copyto(model.arena, last_good)\n"
+           "        acc, aborted = math.nan, True",
+           "except FloatingPointError:  # the sentinel stopped the closing forward\n"
+           "        raise",
+           "a sentinel stop in the closing evaluation aborts the run, so train writes both files",
+           ("tests/test_cli.py::"
+            "test_debug_sentinel_stop_in_the_closing_evaluation_writes_both_files",)),
+    Mutant("src/dualvit/training.py",
+           "if p.data.base is not self.arena:", "if False:",
+           "AdamW refuses a parameter rebound out of its arena",
+           ("tests/test_training.py::test_adamw_refuses_a_parameter_rebound_after_construction",)),
+    Mutant("src/dualvit/nn.py",
+           "if p.data.base is not self.arena:", "if False:",
+           "a checkpoint save refuses a parameter rebound out of the model's arena",
+           ("tests/test_data.py::test_save_refuses_a_parameter_rebound_out_of_the_arena",)),
+    Mutant("src/dualvit/tensor.py",
+           "                stack.extend((p, False) for p in ps if type(p) is not _Node)\n"
+           "                stack.extend((p, False) for p in ps if type(p) is _Node)",
+           "                stack.extend((p, False) for p in ps if type(p) is _Node)\n"
+           "                stack.extend((p, False) for p in ps if type(p) is not _Node)",
+           "the walk reaches each leaf right after its last consumer's rule",
+           ("tests/test_tensor.py::TestBackward::"
+            "test_a_dual_block_hands_each_leaf_off_right_after_its_consumer",)),
+    Mutant("src/dualvit/tensor.py",
+           "elif (id(pg) not in taken and", "elif (True and",
+           "a gradient array that one parent already owns is copied for the next",
+           ("tests/test_tensor.py::TestTapeBuffers::"
+            "test_fanout_gradients_are_exact_owned_and_accumulate",)),
 )
 
 

@@ -244,6 +244,21 @@ def test_debug_sentinel_stop_writes_the_files_of_a_plain_abort(tmp_path):
         assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
+def test_debug_sentinel_stop_in_the_closing_evaluation_writes_both_files(tmp_path):
+    """Step 0's loss is finite but its update makes the closing evaluation
+    overflow: the run aborts with the initial weights, which gave that loss."""
+    out_dir = tmp_path / "run"
+    done = _python("-m", "dualvit.cli", "train", "--preset", "tiny", "--steps", "1",
+                   "--lr", "1e30", "--per-class", "2", "--out", str(out_dir),
+                   DUALVIT_DEBUG="1")
+    assert done.returncode == 1 and "Traceback" not in done.stderr
+    assert "run aborted" in done.stderr
+    rows = (out_dir / "loss.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 and np.isfinite(float(rows[0].split(",")[1]))
+    saved = load_checkpoint(str(out_dir / "model.dvcp"))
+    assert saved.arena.tobytes() == build_model(preset_config("tiny")).arena.tobytes()
+
+
 def test_diverging_train_prints_only_its_error_line(tmp_path):
     out_dir = tmp_path / "run"
     done = _python("-W", "error::RuntimeWarning", "-m", "dualvit.cli", "train",
