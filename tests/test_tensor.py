@@ -820,6 +820,13 @@ class TestFeedForwardInSmallTiles(TestFeedForward):
     """Every ``TestFeedForward`` case again, in tiles smaller than its arrays."""
 
 
+@pytest.mark.usefixtures("small_tile")
+class TestLayerNormInSmallTiles(TestLayerNorm):
+    """Every ``TestLayerNorm`` case again with ``T._TILE`` cut small. Layer norm
+    runs in whole-array passes, so its bytes and peaks must not follow the tile
+    that GELU and AdamW use."""
+
+
 # sha256 of preset tiny's logits and of its gradients' bytes concatenated in
 # ``parameters()`` order: seed 0, images ``default_rng(1).random((2, 32, 32, 3))``
 # in float32, labels [1, 2], cross-entropy; then the same after ``astype``
