@@ -4,11 +4,10 @@ Exit codes: 0 success, 1 check failure, 2 usage or input error, including an
 input or output path that cannot be opened.
 Set DUALVIT_THREADS to cap BLAS worker threads (the ``dualvit`` package
 applies it on import, before numpy loads; it also makes runs reproducible
-across machines with different core counts). Set DUALVIT_DEBUG (any value
-but empty or ``0``) to stop at the first forward op that makes a NaN or Inf;
-that stop exits 1. In ``train`` it ends the run as a non-finite loss does:
-both output files are still written, the checkpoint with the last good
-weights.
+across machines with different core counts). A non-finite loss or logit
+already ends ``train`` and ``eval`` with exit 1; DUALVIT_DEBUG (any value but
+empty or ``0``) only says where a value went non-finite, by stopping at the
+first forward op that makes a NaN or Inf. ``train`` still writes both files.
 """
 
 from __future__ import annotations

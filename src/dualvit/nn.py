@@ -3,10 +3,7 @@
 Attention takes queries and one key/value source, from which both keys and
 values are projected: self-attention when the source is the queries,
 cross-attention otherwise. All four attention projections are square d×d with
-bias. The whole sublayer is one ``T.attention`` node, which realizes the heads
-as views of the d-wide projections reshaped to (h, d_h); it keeps only the
-queries and the source and recomputes the projections, the probabilities and
-the heads' output in the backward.
+bias.
 
 Each module draws its weights (``trunc_normal``) from the generator it is
 given, at once. A model gives a list in its place, which puts the draws off
@@ -144,13 +141,8 @@ class LayerNorm(Module):
 
 class MultiHeadAttention(Module):
     """MHA(q, kv) = Concat(head_1..head_h) W_O with scaled dot-product heads;
-    keys and values are both projected from ``kv``.
-
-    One ``T.attention`` node over the ``q_proj``, ``k_proj``, ``v_proj`` and
-    ``o_proj`` parameters: a recorded graph keeps only ``q`` and ``kv``, and the
-    backward recomputes the three input projections (three more GEMMs), the
-    probabilities and the heads' output (two more).
-    """
+    keys and values are both projected from ``kv``. One ``T.attention`` node
+    over the ``q_proj``, ``k_proj``, ``v_proj`` and ``o_proj`` parameters."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads != 0:
@@ -173,12 +165,8 @@ class MultiHeadAttention(Module):
 
 
 class FeedForward(Module):
-    """Token-wise expand -> GELU -> contract. No token mixing.
-
-    One ``T.feedforward`` node over the ``expand`` and ``contract`` parameters:
-    a recorded graph keeps only the input, and the backward recomputes the
-    pre-activation (one more GEMM) and GELU.
-    """
+    """Token-wise expand -> GELU -> contract, no token mixing: one
+    ``T.feedforward`` node over the ``expand`` and ``contract`` parameters."""
 
     def __init__(self, dim: int, ratio: int, rng: np.random.Generator):
         self.dim = dim

@@ -5,20 +5,10 @@ gradient checking). An op result that records a graph gets a ``_Node``: its
 parents' nodes (a leaf parent is the leaf ``Tensor`` itself, a parent that
 does not require grad is ``None``), its backward rule, and the result's shape
 and dtype. A rule closes over the arrays it reads and nothing else, never
-over a ``Tensor``. So the graph holds only what backward reads: an op
-result's data is freed once neither the caller nor a rule holds it.
-
-``Tensor.backward()`` walks the nodes in reverse topological order, summing
-gradients over fan-out. Only leaves keep a ``grad``: interior gradients are
-freed as the walk passes them. A graph is walked once: each node drops its
-rule as soon as the rule has run, so an array that no rule still to run keeps
-is freed there, and later rules' temporaries reuse its memory. A backward that
-reaches a walked node is refused before any rule runs; backward calls over new
-graphs of the same leaves, without ``zero_grad``, accumulate. The order
-reaches each leaf right after its last consumer's rule, so its gradient is
-final and handed off there, to ``Tensor.accumulate_grad`` or to the ``take`` a
-caller passes (an optimizer can fold it in and drop it before the rest of the
-graph is walked).
+over a ``Tensor``; ``add``, ``concat``, ``split``, ``reshape``, ``transpose``,
+``mean`` and ``sum_all`` keep only shapes or offsets. So the graph holds only
+what backward reads: an op result's data is freed once neither the caller nor
+a rule holds it. ``Tensor.backward`` walks the graph.
 
 Backward contract: a rule takes the output gradient and returns one gradient
 per parent, in ``_Node.parents`` order, and the tape drops those of parents
@@ -31,44 +21,25 @@ allocates is C-contiguous. Later gradients are added into that buffer, so
 the tape may write into an array a rule returned. A rule therefore returns
 only fresh arrays, its ``g``, or views of ``g`` that do not overlap one
 another (the same array for two parents is allowed: the second gets a copy);
-never an array that the forward pass or another rule still reads. A leaf's
-final buffer goes to ``take``; by default a leaf without a ``grad`` takes it
-as its ``grad``, and a leaf that has one adds it in. A rule that returns
-another count of gradients than its node has parents raises ``ValueError``.
+never an array that the forward pass or another rule still reads. A rule that
+returns another count of gradients than its node has parents raises
+``ValueError``.
 
-Three ops are composite: each records one node for what would be several
-primitive nodes, and keeps less than they would.
-
-- ``linear`` keeps its input and weight, as ``matmul`` would; the bias is
-  added in place into the GEMM's output.
-- ``attention`` is a whole multi-head sublayer (four projections and the
-  heads) and keeps only its inputs, the queries and the key/value source: its
-  backward recomputes ``q``, ``k`` and ``v`` with three GEMMs, then the (B,
-  heads, n_q, n_kv) probabilities and the heads' output with two more.
-- ``feedforward`` keeps only its input: its backward recomputes the
-  pre-activation with one GEMM, then GELU from it.
-
-Their forward GEMMs run through ``matmul`` under ``no_grad``, so whatever
-replaces ``matmul`` to count MACs sees every forward GEMM once. Their
-backwards, the recomputed projection, score, mix and pre-activation GEMMs
-included, use plain numpy ``@`` and never ``matmul``, so such a count
-includes no backward work.
-Each takes every value and gradient with the same numpy operations, in the
-same order, as a chain of primitive nodes would (``matmul``, ``add``, ``mul``,
+Three ops are composite: ``linear``, ``attention`` and ``feedforward`` each
+record one node for a chain of primitive nodes (``matmul``, ``add``, ``mul``,
 ``reshape``, ``transpose`` and nodes over the ``_softmax`` and ``_gelu``
-kernels), so results are byte-identical to that chain's.
+kernels) and keep less than the chain would; each one's docstring says what
+it keeps and what its backward recomputes. Their forward GEMMs run through
+``matmul`` under ``no_grad``, so whatever replaces ``matmul`` to count MACs
+sees every forward GEMM once. Their backwards, recomputed GEMMs included, use
+plain numpy ``@`` and never ``matmul``, so such a count includes no backward
+work. Each takes every value and gradient with the same numpy operations, in
+the same order, as the chain would, so results are byte-identical to it.
 
-GELU runs its chain of in-place passes over tiles of ``_TILE`` elements that
-stay in cache, writing into the array it returns; ``feedforward``'s backward
-recomputes GELU, writes the activation over the recomputed pre-activation and
-turns ``g @ w2ᵀ`` into the pre-activation gradient in one such pass. GEMMs
-never run in tiles: OpenBLAS's summation order can depend on the row count.
-Each element meets the numpy operations of a whole-array pass in their order,
-so the bytes match. Layer norm runs in whole-array passes.
-
-Inside ``with no_grad():`` ops record no graph and return tensors that do
-not require grad, so a forward for evaluation frees each activation as soon
-as nothing reads it.
+GEMMs never run in tiles: OpenBLAS's summation order can depend on the row
+count. A chain of element-wise passes that runs in tiles (``_gelu``) meets
+each element with the operations of a whole-array pass in their order, so
+the bytes match.
 
 The token axis is the second-to-last axis throughout; ``concat``, ``split``
 and ``mean`` always work on it. All forward results are deterministic
@@ -141,25 +112,27 @@ class Tensor:
 
     def backward(self, take=None) -> None:
         """Hand this scalar's gradient of every reachable leaf to ``take(leaf,
-        g)``, by default ``Tensor.accumulate_grad``, which adds it to ``grad``.
+        g)``, by default ``Tensor.accumulate_grad``, which adds it to ``grad``:
+        backward calls over new graphs of the same leaves, without
+        ``zero_grad``, accumulate.
 
-        The walk visits the nodes reachable from this tensor's node. A node
-        holds its parents' nodes, its rule and only the arrays the rule reads,
-        so an op result's data is freed once neither the caller nor a rule
-        holds it. Fan-out sums. The walk drops each node's rule, and the
-        tape's reference to its ``g``, as soon as the rule has returned: what
-        only that rule kept is freed there, while the walk goes on, and a
-        graph is walked once. A backward that reaches a walked node, from this
-        loss or another one built over it, raises ``ContractError`` while it
-        orders the nodes, before any rule runs or any gradient is handed off;
-        build the graph again instead. Interior gradients are locals of the
-        call, each freed once its node's rule has run. A node's ``g`` leaves
-        the tape before its rule runs, so the tape owns every buffer it takes
-        from a rule (see the module docstring) and may add into it. The
-        depth-first order puts a node's leaf parents before its interior ones,
-        so a leaf whose last consumer's rule has just run is handed off at
-        once, before any deeper node's rule: ``g`` is then final and the tape
-        keeps no reference to it. A tensor that does not require grad (a
+        The walk visits the nodes reachable from this tensor's node in reverse
+        topological order, and fan-out sums. Interior gradients are locals of
+        the call, each freed once its node's rule has run. The walk drops each
+        node's rule, and the tape's reference to its ``g``, as soon as the rule
+        has returned: what only that rule kept is freed there, while the walk
+        goes on, so later rules' temporaries reuse its memory, and a graph is
+        walked once. A backward that reaches a walked node, from this loss or
+        another one built over it, raises ``ContractError`` while it orders the
+        nodes, before any rule runs or any gradient is handed off; build the
+        graph again instead. A node's ``g`` leaves the tape before its rule
+        runs, so the tape owns every buffer it takes from a rule (see the
+        module docstring) and may add into it. The depth-first order puts a
+        node's leaf parents before its interior ones, so a leaf whose last
+        consumer's rule has just run is handed off at once, before any deeper
+        node's rule: ``g`` is then final and the tape keeps no reference to it,
+        so an optimizer's ``take`` can fold it in and drop it before the rest
+        of the graph is walked. A tensor that does not require grad (a
         constant, or a result made under ``no_grad``) reaches no leaf and is
         refused.
         """
@@ -235,7 +208,9 @@ class _Node:
 
 @contextmanager
 def no_grad() -> Iterator[None]:
-    """Within this block, forward ops record no graph; nests."""
+    """Within this block, forward ops record no graph and return tensors that do
+    not require grad, so a forward frees each activation as soon as nothing
+    reads it; nests."""
     global _grad_enabled
     saved, _grad_enabled = _grad_enabled, False
     try:
@@ -347,7 +322,9 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-token standardization over the last axis (epsilon 1e-6), then affine."""
+    """Per-token standardization over the last axis (epsilon 1e-6), then affine,
+    in whole-array passes. The node keeps the standardized input and the
+    inverse std."""
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
@@ -458,10 +435,8 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Token-wise ``x w + b`` as one node, the bias added in place into the GEMM's
-    output. The GEMM runs through ``matmul`` under ``no_grad``; the backward
-    takes its gradients with plain numpy, byte for byte as ``matmul`` and
-    ``add`` would."""
+    """Token-wise ``x w + b`` as one node that keeps its input and weight, as
+    ``matmul`` would; the bias is added in place into the GEMM's output."""
     if w.data.ndim != 2 or b.shape != w.shape[1:]:
         raise DimensionError(f"linear needs a 2-d weight and a matching bias, got "
                              f"weight {w.shape}, bias {b.shape}")
@@ -484,16 +459,13 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: T
     bv``, scaled dot-product heads into ``mixed``, then ``mixed wo + bo``.
 
     Heads are views: ``q``, ``k`` and ``v`` reshaped to (B, n, heads, d/heads)
-    and transposed head-major. The four projections run through ``linear`` and
-    the two head GEMMs (scores and value mix) through ``matmul``, all under
-    ``no_grad``; the scale and softmax run in place in the score buffer, and the
-    heads are merged back into a fresh (B, n_q, d) array. The node keeps only
-    ``xq`` and ``xkv``: the backward recomputes ``q``, ``k``, ``v``, the
-    probabilities and ``mixed`` with the same numpy operations and takes every
-    gradient with plain numpy, byte for byte as a chain of ``linear`` nodes
-    around the primitive nodes of the heads would.
-    ``xkv`` is a parent twice, once for ``k`` and once for ``v``, so the tape
-    sums its gradient as it would over the two projections' nodes.
+    and transposed head-major. The scale and softmax run in place in the score
+    buffer, and the heads are merged back into a fresh (B, n_q, d) array. The
+    node keeps only ``xq`` and ``xkv``: the backward recomputes ``q``, ``k``
+    and ``v`` with three GEMMs, then the (B, heads, n_q, n_kv) probabilities
+    and ``mixed`` with two more. ``xkv`` is a parent twice, once for ``k`` and
+    once for ``v``, so the tape sums its gradient as it would over the two
+    projections' nodes.
     """
     d = wq.shape[-1]
     if xq.data.ndim != 3 or xkv.data.ndim != 3 or xq.shape[0] != xkv.shape[0] or \
@@ -548,15 +520,11 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: T
 
 
 def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Token-wise ``GELU(x w1 + b1) w2 + b2`` as one node.
+    """Token-wise ``GELU(x w1 + b1) w2 + b2`` as one node that keeps only ``x``.
 
-    The forward runs ``linear``, the ``_gelu`` kernel and ``linear`` under
-    ``no_grad``, so anything that patches ``matmul`` to count MACs sees both
-    forward GEMMs and both biases are added in place. The node keeps only
-    ``x``: the backward recomputes the pre-activation ``h = x w1 + b1`` as the
-    forward made it, one GEMM more, then GELU over ``h`` into ``h`` itself,
-    and takes every gradient with plain numpy, never through ``matmul``, byte
-    for byte as the five primitive nodes would.
+    The backward recomputes the pre-activation ``h = x w1 + b1`` with one
+    GEMM, then, in one ``_gelu`` pass, turns ``g w2ᵀ`` into the gradient of
+    ``h`` and writes GELU over ``h`` itself.
     """
     with no_grad():
         h = linear(x, w1, b1).data
@@ -639,7 +607,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def cross_entropy_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer ``labels`` under ``logits`` of shape (B, C)."""
+    """Mean cross-entropy of integer ``labels`` under ``logits`` of shape (B, C);
+    the node keeps the shifted logits and the labels."""
     if logits.data.ndim != 2:
         raise DimensionError(f"logits must be 2-d (batch, classes), got {logits.shape}")
     labels = np.asarray(labels)

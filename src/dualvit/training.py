@@ -285,14 +285,18 @@ class TrainReport:
         return [loss for _, loss, _ in self.steps]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def evaluate(model: DualViT, dataset, batch_size: int = 16) -> float:
-    """Top-1 accuracy of ``model`` on ``dataset``."""
+    """Top-1 accuracy of ``model`` on ``dataset``; a batch whose logits are not
+    all finite raises ``FloatingPointError``, with no numpy warning."""
     correct = 0
     n = len(dataset.labels)
     with T.no_grad():
         for start in range(0, n, batch_size):
             batch = dataset.images[start:start + batch_size]
             logits = model(batch).data
+            if not np.isfinite(logits).all():
+                raise FloatingPointError("non-finite logits in evaluation")
             correct += int((logits.argmax(axis=-1) == dataset.labels[start:start + batch_size]).sum())
     return correct / n
 
@@ -306,9 +310,10 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
 
     A non-finite loss ends the run: the step is recorded, the weights that
     gave the last finite loss are restored and ``aborted`` is set. The
-    ``DUALVIT_DEBUG`` sentinel stopping a step's forward counts as loss ``nan``;
-    stopping the closing evaluation's forward, it restores those weights too,
-    sets ``aborted`` and reports ``final_accuracy`` as ``nan``.
+    ``DUALVIT_DEBUG`` sentinel stopping a step's forward counts as loss ``nan``.
+    Non-finite logits in the closing evaluation, or the sentinel stopping it,
+    restore those weights too, set ``aborted`` and report ``final_accuracy``
+    as ``nan``.
 
     Each backward hands every gradient to ``AdamW.take``, which folds it into
     the moments as the tape finishes it, so a step never holds the whole
@@ -351,7 +356,7 @@ def train_toy(model: DualViT, dataset, steps: int, batch_size: int = 16,
         opt.step(lr=step_lr)
     try:
         acc = evaluate(model, dataset, batch_size)
-    except FloatingPointError:  # the sentinel stopped the closing forward
+    except FloatingPointError:  # non-finite logits, or the sentinel
         np.copyto(model.arena, last_good)
         acc, aborted = math.nan, True
     return TrainReport(steps=history, final_accuracy=acc,

@@ -1,15 +1,15 @@
 """Mutation checks: each mutant breaks one property, and its named tests must fail.
 
 Run from anywhere: ``python tests/mutants.py``. For each mutant the script
-copies ``src``, ``tests`` and ``pyproject.toml`` into a temporary directory,
-replaces one exact text, which must occur exactly once in the mutant's file,
-and runs only the tests named for it there. It exits 1 if a mutant survives,
-if its text does not occur exactly once, if a named test cannot be run, or if
-every test named for a mutant is a byte pin (a ``TestTiles`` case or a test
-that reads ``TINY_SHA256``): a pin catches the change without saying which
-property it broke. Before any mutant the named tests must pass on the
-unchanged copy. pytest does not collect this file: its name does not start
-with ``test_``.
+copies ``src``, ``tests``, ``pyproject.toml`` and ``README.md`` into a
+temporary directory, replaces one exact text, which must occur exactly once in
+the mutant's file, and runs only the tests named for it there. It exits 1 if a
+mutant survives, if its text does not occur exactly once, if a named test
+cannot be run, or if every test named for a mutant is a byte pin (a
+``TestTiles`` case or a test that reads ``TINY_SHA256``): a pin catches the
+change without saying which property it broke. Before any mutant the named
+tests must pass on the unchanged copy. pytest does not collect this file: its
+name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -172,14 +172,15 @@ MUTANTS = (
            "a non-finite loss restores the weights that gave the last finite loss",
            ("tests/test_training.py::test_abort_restores_the_weights_of_the_last_finite_loss",)),
     Mutant("src/dualvit/training.py",
-           "except FloatingPointError:  # the sentinel stopped the closing forward\n"
+           "except FloatingPointError:  # non-finite logits, or the sentinel\n"
            "        np.copyto(model.arena, last_good)\n"
            "        acc, aborted = math.nan, True",
-           "except FloatingPointError:  # the sentinel stopped the closing forward\n"
+           "except FloatingPointError:  # non-finite logits, or the sentinel\n"
            "        raise",
            "a sentinel stop in the closing evaluation aborts the run, so train writes both files",
            ("tests/test_cli.py::"
-            "test_debug_sentinel_stop_in_the_closing_evaluation_writes_both_files",)),
+            "test_an_update_whose_forward_overflows_aborts_with_the_weights_of_the_last_loss"
+            "[1e30-debug]",)),
     Mutant("src/dualvit/training.py",
            "if p.data.base is not self.arena:", "if False:",
            "AdamW refuses a parameter rebound out of its arena",
@@ -201,23 +202,54 @@ MUTANTS = (
            "a gradient array that one parent already owns is copied for the next",
            ("tests/test_tensor.py::TestTapeBuffers::"
             "test_fanout_gradients_are_exact_owned_and_accumulate",)),
+    Mutant("src/dualvit/training.py",
+           'raise FloatingPointError("non-finite logits in evaluation")', "pass",
+           "train never saves, and eval never scores, weights whose forward is non-finite",
+           ("tests/test_cli.py::"
+            "test_an_update_whose_forward_overflows_aborts_with_the_weights_of_the_last_loss"
+            "[1e38]",)),
+    Mutant("README.md",
+           "| 22.8M |", "| 22.9M |",
+           "the README's preset table quotes what dualvit count prints",
+           ("tests/test_readme.py::test_the_preset_table_quotes_what_count_prints",)),
+    Mutant("README.md",
+           "test_a_copy_is_laid_out_over_the_array_the_copier_made",
+           "test_a_copy_is_laid_out_over_the_array_the_copier_makes",
+           "every test the README cites exists",
+           ("tests/test_readme.py::test_every_test_the_readme_cites_exists",)),
+    Mutant("README.md",
+           "--data synthetic", "--dataset synthetic",
+           "every line of the README's CLI block parses",
+           ("tests/test_readme.py::test_every_line_of_the_cli_block_parses",)),
+    Mutant("README.md",
+           "and 1 giga-MAC = 1e9 MACs.", "and 1 giga-MAC = 1e9 MACs; S@224 takes 4.339 GMAC.",
+           "the README's Conventions quote no measured figure",
+           ("tests/test_readme.py::"
+            "test_each_convention_cites_a_test_and_quotes_no_measured_figure",)),
 )
+
+
+def node_source(node_id: str) -> str | None:
+    """The source of the test ``node_id`` names (a parametrized case, its
+    function's), or None when there is no such test."""
+    path, *names = node_id.split("::")
+    file = ROOT / path
+    if not names or not file.is_file():
+        return None
+    source = file.read_text(encoding="utf-8")
+    scope, segment = ast.parse(source).body, None
+    for name in names:
+        name = name.split("[")[0]
+        node = next((n for n in scope if getattr(n, "name", None) == name), None)
+        if node is None:
+            return None
+        scope, segment = node.body, ast.get_source_segment(source, node)
+    return segment
 
 
 def is_byte_pin(node_id: str) -> bool:
     """Whether the test is a ``TestTiles`` case or its source reads ``TINY_SHA256``."""
-    if "TestTiles" in node_id:
-        return True
-    path, *names = node_id.split("::")
-    source = (ROOT / path).read_text(encoding="utf-8")
-    scope, segment = ast.parse(source).body, ""
-    for name in names:
-        name = name.split("[")[0]  # a parametrized case reads its function's source
-        node = next((n for n in scope if getattr(n, "name", None) == name), None)
-        if node is None:
-            return False
-        scope, segment = node.body, ast.get_source_segment(source, node)
-    return "TINY_SHA256" in segment
+    return "TestTiles" in node_id or "TINY_SHA256" in (node_source(node_id) or "")
 
 
 def run_tests(where: Path, tests) -> int:
@@ -231,7 +263,8 @@ def copy_tree(where: Path) -> None:
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, where / name,
                         ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(ROOT / "pyproject.toml", where)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy(ROOT / name, where)
 
 
 def check(mutant: Mutant) -> str | None:

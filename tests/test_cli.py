@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import struct
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import dualvit
-from dualvit import nn
+from dualvit import nn, training
 from dualvit.cli import build_parser, main
 from dualvit.complexity import count_macs
 from dualvit.data import load_checkpoint, make_synthetic, save_checkpoint, save_packed_dataset
@@ -244,19 +245,51 @@ def test_debug_sentinel_stop_writes_the_files_of_a_plain_abort(tmp_path):
         assert (tmp_path / "debug" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-def test_debug_sentinel_stop_in_the_closing_evaluation_writes_both_files(tmp_path):
-    """Step 0's loss is finite but its update makes the closing evaluation
-    overflow: the run aborts with the initial weights, which gave that loss."""
+@pytest.mark.parametrize("lr, debug", [("1e38", ""), ("1e30", ""), ("1e30", "1")],
+                         ids=["1e38", "1e30", "1e30-debug"])
+def test_an_update_whose_forward_overflows_aborts_with_the_weights_of_the_last_loss(
+        tmp_path, lr, debug):
+    """Step 0's loss is finite, but its update puts ``inf`` in the arena (1e38)
+    or keeps it finite with non-finite logits (1e30). The closing evaluation
+    aborts the run, with or without the DUALVIT_DEBUG sentinel, and the run
+    saves the initial weights, the ones that gave that loss."""
     out_dir = tmp_path / "run"
     done = _python("-m", "dualvit.cli", "train", "--preset", "tiny", "--steps", "1",
-                   "--lr", "1e30", "--per-class", "2", "--out", str(out_dir),
-                   DUALVIT_DEBUG="1")
-    assert done.returncode == 1 and "Traceback" not in done.stderr
-    assert "run aborted" in done.stderr
+                   "--lr", lr, "--per-class", "2", "--out", str(out_dir), DUALVIT_DEBUG=debug)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "error: non-finite value in training; run aborted, checkpoint holds last good state"]
     rows = (out_dir / "loss.csv").read_text().splitlines()[1:]
     assert len(rows) == 1 and np.isfinite(float(rows[0].split(",")[1]))
     saved = load_checkpoint(str(out_dir / "model.dvcp"))
     assert saved.arena.tobytes() == build_model(preset_config("tiny")).arena.tobytes()
+
+
+def test_eval_of_a_checkpoint_whose_forward_overflows_is_one_error_line(tmp_path):
+    model = build_model(preset_config("tiny"))
+    model.arena *= 1e20
+    assert np.isfinite(model.arena).all()
+    save_checkpoint(model, str(tmp_path / "model.dvcp"))
+    done = _python("-m", "dualvit.cli", "eval", "--checkpoint", str(tmp_path / "model.dvcp"))
+    assert done.returncode == 1
+    assert len(done.stderr.splitlines()) == 1 and done.stderr.startswith("error: ")
+
+
+def test_ablate_prints_a_row_for_each_variant_when_one_run_aborts(capsys, monkeypatch):
+    """Variant B's update overflows its closing evaluation: its row reads
+    ``nan``, and the other variants' rows are scored as usual."""
+    train_toy = training.train_toy
+
+    def diverging_b(model, *args, **kwargs):
+        return train_toy(model, *args, **kwargs, **({"lr": 1e38} if model.variant == "B" else {}))
+
+    monkeypatch.setattr(training, "train_toy", diverging_b)
+    code, out, _ = run_cli(capsys, "ablate", "--preset", "tiny", "--train-steps", "1",
+                           "--per-class", "2", "--json")
+    assert code == 0
+    rows = {row["variant"]: row["train_accuracy"] for row in json.loads(out)}
+    assert list(rows) == ["A", "B", "C", "D"]
+    assert math.isnan(rows.pop("B")) and all(0 <= acc <= 1 for acc in rows.values())
 
 
 def test_diverging_train_prints_only_its_error_line(tmp_path):
