@@ -36,6 +36,10 @@ plain numpy ``@`` and never ``matmul``, so such a count includes no backward
 work. Each takes every value and gradient with the same numpy operations, in
 the same order, as the chain would, so results are byte-identical to it.
 
+A composite op fed a recorded layer-norm result keeps its recipe (``_kept``)
+and rebuilds the output, byte for byte, where its backward reads it
+(``_rebuild``): a pre-norm site keeps one token array, not two.
+
 GEMMs never run in tiles: OpenBLAS's summation order can depend on the row
 count. A chain of element-wise passes that runs in tiles (``_gelu``) meets
 each element with the operations of a whole-array pass in their order, so
@@ -59,10 +63,10 @@ from .errors import ContractError, DimensionError
 
 DEFAULT_DTYPE = np.float32
 
-# Elements per tile of a chain of in-place passes (GELU and AdamW): each
-# operand's tile stays in cache across the chain (for AdamW at S, 64K beat 16K,
-# 256K and whole arrays).
-_TILE = 1 << 16
+# Elements per tile of a chain of in-place passes (GELU, AdamW), kept in cache
+# across the chain. At S, AdamW ties at 32K and 64K, ahead of 16K, 256K and whole
+# arrays; 32K halves tiny's GELU derivative scratch for 5-10 % on S's GELU calls.
+_TILE = 1 << 15
 
 # DUALVIT_DEBUG turns on the NaN/Inf sentinel that runs after every forward
 # op: unset, empty or "0" means off, any other value means on.
@@ -75,9 +79,10 @@ class Tensor:
 
     ``grad`` (leaves only) is lazily allocated and always matches ``data`` in shape.
     ``_node`` is the graph node of an op result that records one, else ``None``.
+    ``_remat`` is a recorded layer-norm result's recipe, else ``None``.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_remat")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -89,6 +94,7 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._node: _Node | None = None
+        self._remat: tuple | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -228,6 +234,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out.grad = None
     out.requires_grad = False
     out._node = None
+    out._remat = None
     if _grad_enabled:
         nodes = [p._node or (p if p.requires_grad else None) for p in parents]
         if nodes.count(None) < len(nodes):
@@ -324,7 +331,7 @@ def _softmax_grad(g: np.ndarray, p: np.ndarray) -> np.ndarray:
 def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Per-token standardization over the last axis (epsilon 1e-6), then affine,
     in whole-array passes. The node keeps the standardized input and the
-    inverse std."""
+    inverse std; the first with ``gamma``, ``beta`` and the shape is the recipe."""
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(
@@ -353,7 +360,24 @@ def layernorm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         g_gamma = np.multiply(g, normed, out=prod).sum(axis=0)
         return (ga.reshape(shape), g_gamma, g.sum(axis=0))
 
-    return _make(out.reshape(shape), (a, gamma, beta), backward)
+    out = _make(out.reshape(shape), (a, gamma, beta), backward)
+    out._remat = (normed, gd, bd, shape) if out._node else None
+    return out
+
+
+def _kept(x: Tensor):
+    """What a composite node keeps of its input ``x``: its recipe, else its data."""
+    return x._remat or x.data
+
+
+def _rebuild(kept) -> np.ndarray:
+    """The input ``_kept`` returned ``kept`` for, a recipe rebuilt as in ``layernorm``."""
+    if type(kept) is not tuple:
+        return kept
+    normed, gd, bd, shape = kept
+    out = gd * normed
+    out += bd
+    return out.reshape(shape)
 
 
 def _row_mean(x: np.ndarray) -> np.ndarray:
@@ -436,18 +460,19 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Token-wise ``x w + b`` as one node that keeps its input and weight, as
-    ``matmul`` would; the bias is added in place into the GEMM's output."""
+    ``matmul`` would; the bias is added in place into the GEMM's output. The
+    backward rebuilds the input for the weight gradient."""
     if w.data.ndim != 2 or b.shape != w.shape[1:]:
         raise DimensionError(f"linear needs a 2-d weight and a matching bias, got "
                              f"weight {w.shape}, bias {b.shape}")
     with no_grad():
         out = matmul(x, w).data
     out += b.data
-    xd, wd = x.data, w.data
+    xk, wd = _kept(x), w.data
 
     def backward(g: np.ndarray):
         # the bias gradient is full-size: the tape sums it down
-        return (g @ wd.T, _weight_grad(xd, g), g)
+        return (g @ wd.T, _weight_grad(_rebuild(xk), g), g)
 
     return _make(out, (x, w, b), backward)
 
@@ -458,14 +483,14 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: T
     source as one node: ``q = xq wq + bq``, ``k = xkv wk + bk``, ``v = xkv wv +
     bv``, scaled dot-product heads into ``mixed``, then ``mixed wo + bo``.
 
-    Heads are views: ``q``, ``k`` and ``v`` reshaped to (B, n, heads, d/heads)
-    and transposed head-major. The scale and softmax run in place in the score
-    buffer, and the heads are merged back into a fresh (B, n_q, d) array. The
-    node keeps only ``xq`` and ``xkv``: the backward recomputes ``q``, ``k``
-    and ``v`` with three GEMMs, then the (B, heads, n_q, n_kv) probabilities
-    and ``mixed`` with two more. ``xkv`` is a parent twice, once for ``k`` and
-    once for ``v``, so the tape sums its gradient as it would over the two
-    projections' nodes.
+    Heads are views: ``q``, ``k`` and ``v`` reshaped to (B, n, heads, d/heads) and
+    transposed head-major. The scale and softmax run in place in the score buffer,
+    and the heads are merged back into a fresh (B, n_q, d) array. The node keeps
+    only ``xq`` and ``xkv``, which the backward rebuilds to recompute ``q``, ``k``
+    and ``v`` with three GEMMs, then the (B, heads, n_q, n_kv) probabilities and
+    ``mixed`` with two more, and again for the weight gradients (one array for a
+    self-attention). ``xkv`` is a parent twice, once for ``k`` and once for ``v``,
+    so the tape sums its gradient as it would over the two projections' nodes.
     """
     d = wq.shape[-1]
     if xq.data.ndim != 3 or xkv.data.ndim != 3 or xq.shape[0] != xkv.shape[0] or \
@@ -489,13 +514,16 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: T
         _softmax(p)
         mixed = merge(matmul(Tensor(p), Tensor(split(v))).data)
         out = linear(Tensor(mixed), wo, bo).data
-    xqd, xkvd, wod = xq.data, xkv.data, wo.data
+    xqk, xkvk, wod = _kept(xq), _kept(xkv), wo.data
     wqd, bqd, wkd, bkd, wvd, bvd = (t.data for t in (wq, bq, wk, bk, wv, bv))
 
     def backward(g: np.ndarray):
+        xqd = _rebuild(xqk)
+        xkvd = xqd if xkvk is xqk else _rebuild(xkvk)
         qh = split(_affine(xqd, wqd, bqd))
         kh = split(_affine(xkvd, wkd, bkd))
         vh = split(_affine(xkvd, wvd, bvd))
+        del xqd, xkvd
         p = qh @ kh.swapaxes(-1, -2)
         p *= s
         _softmax(p)
@@ -510,6 +538,8 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: T
         gk = np.ascontiguousarray((qh.swapaxes(-1, -2) @ gs).transpose(0, 3, 1, 2))
         gk = gk.reshape(batch, n_kv, d)
         del gs, qh, kh
+        xqd = _rebuild(xqk)
+        xkvd = xqd if xkvk is xqk else _rebuild(xkvk)
         # the bias gradients are full-size: the tape sums them down
         return (gq @ wqd.T, _weight_grad(xqd, gq), gq,
                 gk @ wkd.T, _weight_grad(xkvd, gk), gk,
@@ -522,23 +552,23 @@ def attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: T
 def feedforward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Token-wise ``GELU(x w1 + b1) w2 + b2`` as one node that keeps only ``x``.
 
-    The backward recomputes the pre-activation ``h = x w1 + b1`` with one
-    GEMM, then, in one ``_gelu`` pass, turns ``g w2ᵀ`` into the gradient of
-    ``h`` and writes GELU over ``h`` itself.
+    The backward rebuilds ``x`` to recompute ``h = x w1 + b1`` with one GEMM, then,
+    in one ``_gelu`` pass, turns ``g w2ᵀ`` into ``h``'s gradient and writes GELU
+    over ``h``; it rebuilds ``x`` again for ``w1``'s gradient after that.
     """
     with no_grad():
         h = linear(x, w1, b1).data
         out = linear(Tensor(_gelu(h, np.empty(h.shape, h.dtype))), w2, b2).data
-    xd, w1d, b1d, w2d = x.data, w1.data, b1.data, w2.data
+    xk, w1d, b1d, w2d = _kept(x), w1.data, b1.data, w2.data
 
     def backward(g: np.ndarray):
-        act = _affine(xd, w1d, b1d)
+        act = _affine(_rebuild(xk), w1d, b1d)
         # one pass turns g @ w2ᵀ into gh in place and writes GELU over act
         gh = g @ w2d.T
         _gelu(act, gh, act)
         gw2 = _weight_grad(act, g)
         del act
-        gw1 = _weight_grad(xd, gh)
+        gw1 = _weight_grad(_rebuild(xk), gh)
         # the bias gradients are full-size: the tape sums them down
         return (gh @ w1d.T, gw1, gh, gw2, g)
 

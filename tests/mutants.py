@@ -67,7 +67,7 @@ MUTANTS = (
             "tests/test_training.py::"
             "test_adamw_in_place_step_is_the_out_of_place_formula_byte_for_byte")),
     Mutant("src/dualvit/tensor.py",
-           "act = _affine(xd, w1d, b1d)", "act = xd @ w1d",
+           "act = _affine(_rebuild(xk), w1d, b1d)", "act = _rebuild(xk) @ w1d",
            "the FFN backward recomputes the pre-activation with its bias",
            ("tests/test_tensor.py::TestFeedForward::"
             "test_float32_output_and_gradients_equal_the_composition_byte_for_byte",)),
@@ -79,10 +79,21 @@ MUTANTS = (
            ("tests/test_tensor.py::TestGelu::"
             "test_gelu_written_over_its_input_keeps_the_bytes_of_a_fresh_activation",)),
     Mutant("src/dualvit/tensor.py",
-           "act = _affine(xd, w1d, b1d)", "act = h.copy()",
+           "act = _affine(_rebuild(xk), w1d, b1d)", "act = h.copy()",
            "the FFN node keeps only its input, not its pre-activation",
            ("tests/test_tensor.py::TestGraphKeepsOnlyWhatBackwardReads::"
             "test_an_ffn_node_keeps_only_its_input",)),
+    Mutant("src/dualvit/tensor.py",
+           "return x._remat or x.data", "return x.data",
+           "a composite op keeps a layer-norm output as its recipe, not as its data",
+           ("tests/test_tensor.py::TestGraphKeepsOnlyWhatBackwardReads::"
+            "test_an_s224_graph_keeps_the_analytic_bytes_at_most_20_mib_and_only_node_inputs",)),
+    Mutant("src/dualvit/tensor.py",
+           "    out = gd * normed\n    out += bd\n    return out.reshape(shape)",
+           "    out = normed + bd\n    out *= gd\n    return out.reshape(shape)",
+           "a recipe is rebuilt with the layer norm's own operations, in its order",
+           ("tests/test_tensor.py::TestLayerNormRecipe::"
+            "test_a_consumer_keeps_the_recipe_and_gives_the_bytes_of_a_kept_output",)),
     Mutant("src/dualvit/tensor.py",
            "qh = split(_affine(xqd, wqd, bqd))", "qh = split(xqd @ wqd)",
            "the attention backward recomputes the queries with their bias",

@@ -427,7 +427,9 @@ class TestBackward:
             for a in _closure_arrays(node.rule):
                 if not any(np.shares_memory(a, o) for o in outside):
                     refs[id(a)] = weakref.ref(a)
-                    kept_by.setdefault(id(a), []).append(node)
+                    nodes = kept_by.setdefault(id(a), [])
+                    if node not in nodes:
+                        nodes.append(node)
             node.rule = lambda g, node=node, rule=node.rule: (events.append(node), rule(g))[1]
         del a
         loss.backward(take=lambda p, g: events.append({k: r() is None for k, r in refs.items()}))
@@ -438,7 +440,10 @@ class TestBackward:
             if dead is not None:
                 assert dead[key]
                 checked += 1
-        assert checked >= 20, checked
+        assert checked == len(kept_by), (checked, len(kept_by))
+        # one normed per layer-norm site of the variant-D block, kept by the
+        # layer norm and by the node its output feeds
+        assert sum(len(nodes) == 2 for nodes in kept_by.values()) == 7
 
     def test_only_leaves_hold_grad(self, rng):
         w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -768,8 +773,10 @@ def _ffn_composed(x, w1, b1, w2, b2):
 
 
 def _closure_arrays(rule) -> list[np.ndarray]:
-    return [c.cell_contents for c in rule.__closure__ or ()
-            if isinstance(c.cell_contents, np.ndarray)]
+    """The arrays ``rule`` closes over, those in a layer norm's recipe included."""
+    cells = [c.cell_contents for c in rule.__closure__ or ()]
+    cells += [a for c in cells if type(c) is tuple for a in c]
+    return [c for c in cells if isinstance(c, np.ndarray)]
 
 
 class TestFeedForward:
@@ -1044,6 +1051,53 @@ class TestAttention:
             T.attention(xq, xkv, w, b, w, b, wv, bv, w, b, 4)
 
 
+# each composite op a layer norm feeds: how many inputs it takes, the shapes of
+# its parameters, and the op over its inputs and parameters
+_NORM_CONSUMERS = {
+    "linear": (1, [(4, 6), (6,)], T.linear),
+    "feedforward": (1, [(4, 6), (6,), (6, 4), (4,)], T.feedforward),
+    "self_attention": (1, [(4, 4), (4,)] * 4, lambda x, *p: T.attention(x, x, *p, 2)),
+    "cross_attention": (2, [(4, 4), (4,)] * 4, lambda xq, xkv, *p: T.attention(xq, xkv, *p, 2)),
+}
+
+
+class TestLayerNormRecipe:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("name", list(_NORM_CONSUMERS))
+    def test_a_consumer_keeps_the_recipe_and_gives_the_bytes_of_a_kept_output(
+            self, rng, dtype, name):
+        """The op fed layer-norm results keeps each one's ``normed`` and no
+        other token array; fed views of them, which carry no recipe, it keeps
+        their data. Output and every gradient are the same bytes."""
+        count, param_shapes, consumer = _NORM_CONSUMERS[name]
+        shapes = [s for n in (5, 7)[:count] for s in ((3, n, 4), (4,), (4,))] + param_shapes
+        leaves = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
+                  for s in shapes]
+        outside = {id(t.data) for t in leaves}
+
+        def fed(recipe):
+            def op(*leaves):
+                ys = [T.layernorm(*leaves[3 * i:3 * i + 3]) for i in range(count)]
+                if not recipe:
+                    ys = [T.reshape(y, y.shape) for y in ys]
+                out = consumer(*ys, *leaves[3 * count:])
+                kept = {id(a) for a in _closure_arrays(out._node.rule)} - outside
+                assert kept == {id(y._remat[0] if recipe else y.data) for y in ys}
+                return out
+            return op
+
+        _assert_same_bytes(_fused_and_composed_results(rng, fed(True), fed(False), leaves, ()))
+
+    def test_only_a_layer_norm_that_records_a_graph_sets_a_recipe(self, rng):
+        x, gamma, beta = (Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+                          for s in ((2, 3, 4), (4,), (4,)))
+        with T.no_grad():
+            assert T.layernorm(x, gamma, beta)._remat is None
+        frozen = [Tensor(t.data) for t in (x, gamma, beta)]
+        assert T.layernorm(*frozen)._remat is None
+        assert T.layernorm(x, gamma, beta)._remat is not None
+
+
 def _graph_nodes(loss: Tensor) -> list:
     """Every ``_Node`` reachable from ``loss``."""
     seen, stack = {}, [loss._node]
@@ -1070,9 +1124,10 @@ def _kept_arrays(loss: Tensor, model) -> list[np.ndarray]:
 def _analytic_graph_bytes(model, batch: int) -> int:
     """The non-parameter bytes a recorded graph of ``model`` on ``batch`` images
     keeps, from its config alone: each layer norm's ``normed`` and ``inv_std``;
-    the input of every linear, FFN and attention node (a self-attention's once;
-    each layer norm's output is one such input); each concat's int64 cut
-    offsets; the cross-entropy's shifted logits and int64 labels."""
+    the input of every linear, FFN and attention node (a self-attention's
+    once), save that a layer-norm output is kept as its recipe, whose arrays
+    the layer norm keeps anyway; each concat's int64 cut offsets; the
+    cross-entropy's shifted logits and int64 labels."""
     cfg, f = model.config, model.z0.data.dtype.itemsize
     m = cfg.m
 
@@ -1081,9 +1136,6 @@ def _analytic_graph_bytes(model, batch: int) -> int:
 
     def norm(n, d):  # a layer norm's normed and inv_std
         return tokens(n, d) + tokens(n, 1)
-
-    def norm_into_node(n, d):  # a layer norm whose output one node keeps
-        return norm(n, d) + tokens(n, d)
 
     total, in_ch = 0, 3
     for i, (spec, n) in enumerate(zip(cfg.stages, cfg.token_counts())):
@@ -1095,15 +1147,15 @@ def _analytic_graph_bytes(model, batch: int) -> int:
             if spec.kind == "dual":
                 # semantic pathway: the normed pixel tokens and each step's normed
                 # input; pixel pathway: queries, keys/values and the FFN's input
-                total += norm_into_node(n, d)
-                total += len(SEMANTIC_STEPS[model.variant]) * norm_into_node(m, d)
-                total += 2 * norm_into_node(n, d) + norm_into_node(m, d)
+                total += norm(n, d)
+                total += len(SEMANTIC_STEPS[model.variant]) * norm(m, d)
+                total += 2 * norm(n, d) + norm(m, d)
             else:  # the joint concat and self-attention, then the two FFNs
-                total += 8 + norm_into_node(n + m, d)
-                total += norm_into_node(n, d) + norm_into_node(m, d)
+                total += 8 + norm(n + m, d)
+                total += norm(n, d) + norm(m, d)
         in_ch = d
     # the pooling concat, the head's layer norm and linear, the cross-entropy
-    return total + 8 + norm_into_node(1, in_ch) + batch * (cfg.num_classes * f + 8)
+    return total + 8 + norm(1, in_ch) + batch * (cfg.num_classes * f + 8)
 
 
 class TestGraphKeepsOnlyWhatBackwardReads:
@@ -1169,17 +1221,19 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         kept = _kept_arrays(loss, model)
         assert sum(a.nbytes for a in kept) == _analytic_graph_bytes(model, 3)
 
-    def test_an_s224_graph_keeps_the_analytic_bytes_at_most_36_mib_and_only_node_inputs(
+    def test_an_s224_graph_keeps_the_analytic_bytes_at_most_20_mib_and_only_node_inputs(
             self, monkeypatch):
         """Non-parameter arrays the rules of one S@224 batch-1 graph keep, each
         counted once. Measured here: 98.4 MiB while each FFN node kept its
         pre-activation; 60.1 MiB with each keeping only its input; 35.8 MiB with
-        each attention sublayer one node that keeps only its inputs."""
+        each attention sublayer one node that keeps only its inputs; 19.8 MiB
+        with each layer-norm output kept as its recipe."""
         inputs, attention = {}, T.attention
 
         def recording(xq, xkv, *rest):
             out = attention(xq, xkv, *rest)
-            inputs[id(out._node)] = {id(xq.data), id(xkv.data)}
+            # a recorded layer-norm result is kept as its recipe: its normed
+            inputs[id(out._node)] = {id(x._remat[0] if x._remat else x.data) for x in (xq, xkv)}
             return out
 
         monkeypatch.setattr(T, "attention", recording)
@@ -1204,7 +1258,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         assert attention_nodes == len(inputs) > 0
         total = sum(a.nbytes for a in _kept_arrays(loss, model))
         assert total == _analytic_graph_bytes(model, 1)
-        assert total <= 36 * 2**20, total / 2**20
+        assert total <= 20 * 2**20, total / 2**20
 
     def test_a_tiny_batch_16_backward_peaks_under_1_2_mib_over_its_graph(self):
         """Measured here with tracemalloc: 2.00 MiB over the graph while every
@@ -1212,7 +1266,11 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         it kept, freed as soon as it has run; 1.01 MiB once each FFN node kept
         only its input. With each attention sublayer one node that keeps only
         its inputs the graph holds less to free by the peak: 1.35 MiB while
-        GELU's derivative pass took three scratch rows, 1.10 MiB with two."""
+        GELU's derivative pass took three scratch rows, 1.10 MiB with two. With
+        each layer-norm output kept as its recipe: 1.31 MiB over a 0.97 MiB
+        graph at 64K-element tiles, whose two scratch rows are each as large as
+        the stage-1 FFN's hidden array; 1.06 MiB at 32K (2.03 MiB absolute,
+        2.49 before the recipe)."""
         cfg = preset_config("tiny", seed=0)
         model = build_model(cfg)
         images = np.random.default_rng(1).random(
@@ -1234,7 +1292,7 @@ class TestGraphKeepsOnlyWhatBackwardReads:
         q, k and v and recomputes them in the backward; 2.03 MiB with one FFN
         node that keeps only its input and recomputes its pre-activation;
         1.37 MiB with each attention sublayer one node that keeps only its
-        inputs."""
+        inputs; 0.96 MiB with each layer-norm output kept as its recipe."""
         cfg = preset_config("tiny", seed=0)
         model = build_model(cfg)
         images = np.random.default_rng(1).random(
